@@ -20,27 +20,31 @@ object Baselines {
   def bfsCC(spark: SparkSession, g: HostGraph): Array[Int] = {
     val ctx = RunCtx.create(g.n)
     try {
-      ctx.aux.put(BfsSampling.FKey, new repro.core.sampling.Frontier(g.n))
+      val bfs = new BfsSampling.Bfs(g, ctx)
       val labels = new Array[Int](g.n)
       java.util.Arrays.fill(labels, -1)
-      var v = 0
-      while (v < g.n) {
-        if (labels(v) == -1) {
-          if (g.degree(v) == 0) labels(v) = v
-          else {
-            BfsSampling.bfs(spark, g, ctx, v)
+      Par.gang(spark, ctx.id) { t =>
+        val (lo, hi) = t.range(g.n)
+        var v = 0
+        while (v < g.n) {
+          if (labels(v) == -1 && g.degree(v) > 0) {
+            bfs(t, v)
             // harvest: everything newly labeled v in ctx.parents
-            var w = 0
-            while (w < g.n) {
+            var w = lo
+            while (w < hi) {
               if (labels(w) == -1 && (w == v || ctx.parents.get(w) == v)) labels(w) = v
               w += 1
             }
+            t.sync()
           }
+          v += 1
         }
-        v += 1
       }
+      // isolated vertices are their own components
+      var v = 0
+      while (v < g.n) { if (labels(v) == -1) labels(v) = v; v += 1 }
       labels
-    } finally { ctx.aux.remove(BfsSampling.FKey); ctx.unregister() }
+    } finally ctx.unregister()
   }
 
   /** WorkeffCC [94]: recursively apply LDD and contract the quotient

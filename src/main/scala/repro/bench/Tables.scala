@@ -265,18 +265,7 @@ object Tables {
                          s: SamplingOpt): String = {
     val ctx = RunCtx.create(g.n)
     try {
-      val (_, t) = time {
-        s match {
-          case KOutSampling(k, v, seed) =>
-            repro.core.sampling.KOutSampling.sample(spark, g, ctx, k, v, seed)
-          case BfsSampling(c, seed) =>
-            repro.core.sampling.BfsSampling.sample(spark, g, ctx, c, seed)
-          case LddSampling(b, p, seed) =>
-            repro.core.sampling.LddSampling.sample(spark, g, ctx, b, p, seed)
-          case NoSampling => ()
-        }
-        ConnectIt.normalizeSampled(spark, ctx)
-      }
+      val (_, t) = time(ConnectIt.sampleAndNormalize(spark, g, ctx, s))
       ctx.snapshotSampled()
       val freq = ConnectIt.identifyFrequent(ctx.sampled)
       val (cov, ic) = ConnectIt.samplingQuality(spark, g, ctx, freq)

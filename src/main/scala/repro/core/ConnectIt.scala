@@ -31,7 +31,16 @@ object ConnectIt {
       maxPathLength: Int,
   )
 
-  /** Algorithm 1/2. `wantForest` requires a root-based finish method. */
+  /** Algorithm 1/2. `wantForest` requires a root-based finish method.
+    *
+    * With a union-find finish the whole run is one gang job
+    * ([[Par.gang]]): sampling, normalization, frequent label, finish and
+    * label resolution are rounds of it. Task 0 times the phases at the
+    * barriers that end sampling (after the frequent label) and the
+    * finish; job launch and label resolution fall outside `totalSec`.
+    * The min-based finishes run sampling as one gang job and their own
+    * rounds as jobs; their phases are timed on the driver.
+    */
   def connectivity(spark: SparkSession, g: HostGraph,
                    sampling: SamplingOpt, finish: FinishOpt,
                    wantForest: Boolean = false,
@@ -52,66 +61,27 @@ object ConnectIt {
     try {
       ctx.instrument = instrument
       if (wantForest) ctx.ensureForest()
-      finish match {
-        case u: UnionFindOpt =>
-          if (u.alg == UfHooks) ctx.ensureHooks()
-          if (u.alg == UfRemLock) ctx.ensureLocks()
-          if (u.alg == UfJtb) ctx.ensurePrio(g.n.toLong * 7919)
-        case _ => ()
-      }
-
-      // ------------------------------------------------------- sampling
-      val t0 = System.nanoTime()
-      var frequentid = -1
-      if (sampling != NoSampling) {
-        sampling match {
-          case KOutSampling(k, variant, seed) =>
-            smp.KOutSampling.sample(spark, g, ctx, k, variant, seed)
-          case BfsSampling(c, seed) =>
-            smp.BfsSampling.sample(spark, g, ctx, c, seed)
-          case LddSampling(beta, permute, seed) =>
-            smp.LddSampling.sample(spark, g, ctx, beta, permute, seed)
-          case NoSampling => ()
-        }
-        normalizeSampled(spark, ctx)
-        // parallel post-sampling snapshot + frequent-label identification
-        ctx.allocSampled()
-        val cid = ctx.id
-        val nc = Par.defaultChunks(spark)
-        Par.maybeJobs(spark, g.n.toLong, nc) { c =>
-          val cx = RunCtx.lookup(cid)
-          val (lo, hi) = Par.range(cx.n, nc, c)
-          cx.snapshotRange(lo, hi)
-        }
-        frequentid = identifyFrequentPar(spark, ctx)
-      }
-      val t1 = System.nanoTime()
-
-      // --------------------------------------------------------- finish
-      finish match {
-        case u: UnionFindOpt =>
-          runUnionFindFinish(spark, g, ctx, u, frequentid)
+      val phase1 = if (sampling == NoSampling) None else Some(new SamplePhase(g, ctx, sampling))
+      val clock = new Array[Long](3) // start, end of sampling, end of finish
+      def minBased(run: Int => Unit) = minBasedRun(spark, ctx, phase1, clock)(run)
+      val (labels, nComp) = finish match {
+        case u: UnionFindOpt => unionFindRun(spark, g, ctx, u, phase1, clock)
         case lt: LiuTarjanOpt =>
-          MinBased.runLiuTarjan(spark, g, ctx, lt, frequentid, wantForest)
-        case StergiouOpt =>
-          MinBased.runStergiou(spark, g, ctx, frequentid)
+          minBased(MinBased.runLiuTarjan(spark, g, ctx, lt, _, wantForest))
+        case StergiouOpt => minBased(MinBased.runStergiou(spark, g, ctx, _))
         case ShiloachVishkinOpt =>
-          MinBased.runShiloachVishkin(spark, g, ctx, frequentid, wantForest)
-        case LabelPropOpt =>
-          MinBased.runLabelProp(spark, g, ctx, frequentid)
+          minBased(MinBased.runShiloachVishkin(spark, g, ctx, _, wantForest))
+        case LabelPropOpt => minBased(MinBased.runLabelProp(spark, g, ctx, _))
       }
-      val t2 = System.nanoTime()
-
-      val labels = ctx.resolveLabels(sentinelRoot = frequentid)
-      val nComp = repro.graph.Reference.numComponents(labels)
+      val frequentid = phase1.fold(-1)(_.frequent.result)
       val (cov, ic) =
         if (sampleStats && sampling != NoSampling) samplingQuality(spark, g, ctx, frequentid)
         else (0.0, 0.0)
       CCResult(
         labels, nComp, frequentid,
-        sampleSec = (t1 - t0) / 1e9,
-        finishSec = (t2 - t1) / 1e9,
-        totalSec = (t2 - t0) / 1e9,
+        sampleSec = (clock(1) - clock(0)) / 1e9,
+        finishSec = (clock(2) - clock(1)) / 1e9,
+        totalSec = (clock(2) - clock(0)) / 1e9,
         forest = if (wantForest) ctx.forestEdges else Array.empty,
         coverage = cov, interCompFrac = ic,
         totalPathLength = ctx.totalPathLength.sum(),
@@ -120,66 +90,140 @@ object ConnectIt {
     } finally ctx.unregister()
   }
 
+  /** A union-find run as one gang job; returns (labels, #components) and
+    * fills `clock` from task 0.
+    */
+  private def unionFindRun(spark: SparkSession, g: HostGraph, ctx: RunCtx,
+                           u: UnionFindOpt, phase1: Option[SamplePhase],
+                           clock: Array[Long]): (Array[Int], Int) = {
+    if (u.alg == UfHooks) ctx.ensureHooks()
+    if (u.alg == UfRemLock) ctx.ensureLocks()
+    if (u.alg == UfJtb) ctx.ensurePrio(g.n.toLong * 7919)
+    val labels = new Array[Int](g.n)
+    val roots = new java.util.concurrent.atomic.AtomicInteger(0)
+    Par.gang(spark, ctx.id) { t =>
+      if (t.index == 0) clock(0) = System.nanoTime()
+      phase1.foreach(_(t))
+      if (t.index == 0) clock(1) = System.nanoTime()
+      unionFindFinish(t, g, ctx, u, phase1.fold(-1)(_.frequent.result))
+      if (t.index == 0) clock(2) = System.nanoTime()
+      // a vertex is its own label iff it is a root, so the roots count
+      // the components
+      val (lo, hi) = t.range(g.n)
+      ctx.resolveRange(labels, lo, hi)
+      var r = 0
+      var v = lo
+      while (v < hi) { if (labels(v) == v) r += 1; v += 1 }
+      roots.addAndGet(r)
+    }
+    (labels, roots.get())
+  }
+
+  /** A min-based run: sampling as one gang job, then `finish(frequentid)`
+    * with its own per-round jobs, timed on the driver; returns (labels,
+    * #components).
+    */
+  private def minBasedRun(spark: SparkSession, ctx: RunCtx, phase1: Option[SamplePhase],
+                          clock: Array[Long])(finish: Int => Unit): (Array[Int], Int) = {
+    clock(0) = System.nanoTime()
+    phase1.foreach(p => Par.gang(spark, ctx.id)(p))
+    clock(1) = System.nanoTime()
+    val frequentid = phase1.fold(-1)(_.frequent.result)
+    finish(frequentid)
+    clock(2) = System.nanoTime()
+    val labels = ctx.resolveLabels(sentinelRoot = frequentid)
+    (labels, repro.graph.Reference.numComponents(labels))
+  }
+
   /** Spanning forest (Algorithm 2): connectivity with forest recording. */
   def spanningForest(spark: SparkSession, g: HostGraph,
                      sampling: SamplingOpt, finish: FinishOpt): CCResult =
     connectivity(spark, g, sampling, finish, wantForest = true)
+
+  // ------------------------------------------------------------ sampling
+  /** The task-side kernel of a sampling option: the one dispatch from
+    * [[SamplingOpt]] to a kernel, shared by every caller.
+    */
+  def samplingKernel(s: SamplingOpt, g: HostGraph, ctx: RunCtx): Par.Task => Unit = s match {
+    case KOutSampling(k, variant, seed) => smp.KOutSampling.kernel(g, ctx, k, variant, seed)
+    case BfsSampling(c, seed) => new smp.BfsSampling.Kernel(g, ctx, c, seed)
+    case LddSampling(beta, permute, seed) => new smp.LddSampling.Kernel(g, ctx, beta, permute, seed)
+    case NoSampling => _ => ()
+  }
+
+  /** Phase 1 of Algorithm 1 as gang rounds: sampling, normalization with
+    * the post-sampling snapshot, and the frequent label.
+    */
+  private final class SamplePhase(g: HostGraph, ctx: RunCtx, s: SamplingOpt) extends (Par.Task => Unit) {
+    private val sample = samplingKernel(s, g, ctx)
+    private val normalize = new Normalize(ctx, snapshot = true)
+    val frequent = new FrequentLabel(ctx)
+
+    def apply(t: Par.Task): Unit = { sample(t); normalize(t); frequent(t) }
+  }
+
+  /** Sampling and normalization alone, in one gang job (Tables 6, 7). */
+  def sampleAndNormalize(spark: SparkSession, g: HostGraph, ctx: RunCtx,
+                         s: SamplingOpt): Unit = {
+    val sample = samplingKernel(s, g, ctx)
+    val normalize = new Normalize(ctx, snapshot = false)
+    Par.gang(spark, ctx.id) { t => sample(t); normalize(t) }
+  }
 
   // ------------------------------------------------------- normalization
   /** Remap every sampled cluster's label to its minimum member, so the
     * labeling is height-1 trees rooted at minima (restores the
     * parent(x) <= x invariant the asynchronous finish methods need, see
     * DESIGN.md) and relocate forest slots so new roots have empty slots.
+    * Runs in its own gang job.
     */
-  def normalizeSampled(spark: SparkSession, ctx: RunCtx): Unit = {
-    val n = ctx.n
-    val minRep = new AtomicIntegerArray(n)
-    ctx.aux.put("minrep", minRep)
-    val cid = ctx.id
-    val nc = Par.defaultChunks(spark)
-    Par.maybeJobs(spark, n.toLong, nc) { c =>
-      val cx = RunCtx.lookup(cid)
-      val mr = cx.aux.get("minrep").asInstanceOf[AtomicIntegerArray]
-      val (lo, hi) = Par.range(cx.n, nc, c)
+  def normalizeSampled(spark: SparkSession, ctx: RunCtx): Unit =
+    Par.gang(spark, ctx.id)(new Normalize(ctx, snapshot = false))
+
+  /** Task-side normalization; with `snapshot` it also fills
+    * `ctx.sampled` with the normalized labels.
+    */
+  private final class Normalize(ctx: RunCtx, snapshot: Boolean) extends (Par.Task => Unit) {
+    private val minRep = new AtomicIntegerArray(ctx.n)
+    if (snapshot) ctx.allocSampled()
+
+    def apply(t: Par.Task): Unit = {
+      val p = ctx.parents
+      val (lo, hi) = t.range(ctx.n)
       var v = lo
-      while (v < hi) { mr.set(v, Int.MaxValue); v += 1 }
-    }
-    Par.maybeJobs(spark, n.toLong, nc) { c =>
-      val cx = RunCtx.lookup(cid)
-      val mr = cx.aux.get("minrep").asInstanceOf[AtomicIntegerArray]
-      val (lo, hi) = Par.range(cx.n, nc, c)
-      var v = lo
+      while (v < hi) { minRep.set(v, Int.MaxValue); v += 1 }
+      t.sync()
+      v = lo
+      while (v < hi) { AtomicOps.writeMin(minRep, p.get(v), v); v += 1 }
+      t.sync()
+      val s = ctx.sampled
+      v = lo
       while (v < hi) {
-        AtomicOps.writeMin(mr, cx.parents.get(v), v)
+        val l = minRep.get(p.get(v))
+        p.set(v, l)
+        if (snapshot) s(v) = l
         v += 1
       }
-    }
-    Par.maybeJobs(spark, n.toLong, nc) { c =>
-      val cx = RunCtx.lookup(cid)
-      val mr = cx.aux.get("minrep").asInstanceOf[AtomicIntegerArray]
-      val (lo, hi) = Par.range(cx.n, nc, c)
-      var v = lo
-      while (v < hi) {
-        cx.parents.set(v, mr.get(cx.parents.get(v)))
-        v += 1
-      }
-    }
-    // forest slot fix-up: old root l's cluster is now rooted at r; r's
-    // slot must be empty for the finish phase (Definition B.2 (3)).
-    if (ctx.forest != null) {
-      var l = 0
-      while (l < n) {
-        val r = minRep.get(l)
-        if (r != Int.MaxValue && r != l) {
-          ctx.forest.set(l, ctx.forest.get(r))
-          ctx.forest.set(r, -1L)
+      // forest slot fix-up: old root l's cluster is now rooted at r; r's
+      // slot must be empty for the finish phase (Definition B.2 (3)).
+      // Each old root l and its minimum r are touched by iteration l only.
+      val fo = ctx.forest
+      if (fo != null) {
+        var l = lo
+        while (l < hi) {
+          val r = minRep.get(l)
+          if (r != Int.MaxValue && r != l) {
+            fo.set(l, fo.get(r))
+            fo.set(r, -1L)
+          }
+          l += 1
         }
-        l += 1
       }
+      t.sync()
     }
-    ctx.aux.remove("minrep")
   }
 
+  // ------------------------------------------------------ frequent label
   /** Most frequent label (Algorithm 1 line 6). Returns -1 when sampling
     * produced only singletons (no skip benefit).
     */
@@ -197,42 +241,54 @@ object ConnectIt {
     best
   }
 
-  /** Parallel frequent-label identification for large n: argmax over a
-    * fixed-size vertex sample (the frequent component the two-phase
-    * optimization targets holds >10% of vertices, so a 64k sample finds
-    * its label with overwhelming probability), then an exact parallel
-    * count of that single candidate.
-    */
+  /** Frequent label of `ctx.sampled` in its own gang job. */
   def identifyFrequentPar(spark: SparkSession, ctx: RunCtx): Int = {
-    val labels = ctx.sampled
-    val n = labels.length
-    if (n <= 65536) return identifyFrequent(labels)
-    val sample = 65536
-    val counts = new java.util.HashMap[Integer, Integer]()
-    var i = 0
-    while (i < sample) {
-      val v = ((repro.graph.GraphGen.mix(0x5eed + i) >>> 1) % n).toInt
-      counts.merge(labels(v), 1, (a, b) => a + b)
-      i += 1
+    val k = new FrequentLabel(ctx)
+    Par.gang(spark, ctx.id)(k)
+    k.result
+  }
+
+  /** Task-side frequent-label identification for large n: argmax over a
+    * fixed-size vertex sample on task 0 (the frequent component the
+    * two-phase optimization targets holds >10% of vertices, so a 64k
+    * sample finds its label with overwhelming probability), then an
+    * exact parallel count of that single candidate. Small n is counted
+    * exactly on task 0. `result` is set on every task when it returns.
+    */
+  private final class FrequentLabel(ctx: RunCtx) extends (Par.Task => Unit) {
+    private val SampleSize = 65536
+    @volatile var result: Int = -1
+    private var cand = -1
+    private val count = new java.util.concurrent.atomic.AtomicLong(0)
+
+    def apply(t: Par.Task): Unit = {
+      val labels = ctx.sampled
+      val n = labels.length
+      if (n <= SampleSize) { t.single { result = identifyFrequent(labels) }; return }
+      t.single { cand = sampleCandidate(labels) }
+      if (cand >= 0) {
+        val (lo, hi) = t.range(n)
+        var c = 0L
+        var v = lo
+        while (v < hi) { if (labels(v) == cand) c += 1; v += 1 }
+        count.addAndGet(c)
+        t.single { result = if (count.get() >= 2L) cand else -1 }
+      }
     }
-    var best = -1; var bestC = 1
-    counts.forEach((l, c) => if (c > bestC) { best = l; bestC = c })
-    if (best < 0) return -1
-    // exact count of the candidate
-    val acc = spark.sparkContext.longAccumulator("freq-count")
-    val cid = ctx.id
-    val nc = Par.defaultChunks(spark)
-    val cand = best
-    Par.jobs(spark, nc) { c =>
-      val cx = RunCtx.lookup(cid)
-      val s = cx.sampled
-      val (lo, hi) = Par.range(cx.n, nc, c)
-      var cnt = 0L
-      var v = lo
-      while (v < hi) { if (s(v) == cand) cnt += 1; v += 1 }
-      acc.add(cnt)
+
+    private def sampleCandidate(labels: Array[Int]): Int = {
+      val n = labels.length
+      val counts = new java.util.HashMap[Integer, Integer]()
+      var i = 0
+      while (i < SampleSize) {
+        val v = ((repro.graph.GraphGen.mix(0x5eed + i) >>> 1) % n).toInt
+        counts.merge(labels(v), 1, (a, b) => a + b)
+        i += 1
+      }
+      var best = -1; var bestC = 1
+      counts.forEach((l, c) => if (c > bestC) { best = l; bestC = c })
+      best
     }
-    if (acc.value >= 2L) best else -1
   }
 
   // --------------------------------------------------- union-find finish
@@ -240,47 +296,38 @@ object ConnectIt {
     * edge-parallel pass over the chunked edge list; with sampling, a
     * vertex-parallel CSR pass that skips vertices in the frequent
     * component (their cross edges are applied from the other endpoint —
-    * Theorem 3).
+    * Theorem 3). Both claim work dynamically and end in a barrier.
     */
-  private def runUnionFindFinish(spark: SparkSession, g: HostGraph, ctx: RunCtx,
-                                 opt: UnionFindOpt, frequentid: Int): Unit = {
-    val gid = g.id
-    val cid = ctx.id
+  private def unionFindFinish(t: Par.Task, g: HostGraph, ctx: RunCtx,
+                              opt: UnionFindOpt, frequentid: Int): Unit =
     if (frequentid < 0) {
-      val nChunks = g.chunks.length
-      Par.jobs(spark, nChunks) { i =>
-        val gr = HostGraph.lookup(gid)
-        val cx = RunCtx.lookup(cid)
-        val arr = gr.chunks(i)
-        var j = 0
-        while (j < arr.length) {
-          val e = arr(j)
-          UnionFind.union(cx, opt, (e >>> 32).toInt, (e & 0xffffffffL).toInt)
-          j += 1
+      t.forDynamic(g.chunks.length, 1) { (lo, hi) =>
+        var c = lo
+        while (c < hi) {
+          val arr = g.chunks(c)
+          var j = 0
+          while (j < arr.length) {
+            val e = arr(j)
+            UnionFind.union(ctx, opt, (e >>> 32).toInt, (e & 0xffffffffL).toInt)
+            j += 1
+          }
+          c += 1
         }
       }
     } else {
-      val nChunks = Par.defaultChunks(spark)
-      Par.jobs(spark, nChunks) { i =>
-        val gr = HostGraph.lookup(gid)
-        val cx = RunCtx.lookup(cid)
-        val s = cx.sampled
-        val (lo, hi) = Par.range(gr.n, nChunks, i)
+      val s = ctx.sampled
+      t.forDynamic(g.n) { (lo, hi) =>
         var v = lo
         while (v < hi) {
           if (s(v) != frequentid) {
-            val off = gr.offsets(v); val end = gr.offsets(v + 1)
-            var j = off
-            while (j < end) {
-              UnionFind.union(cx, opt, v, gr.targets(j))
-              j += 1
-            }
+            val end = g.offsets(v + 1)
+            var j = g.offsets(v)
+            while (j < end) { UnionFind.union(ctx, opt, v, g.targets(j)); j += 1 }
           }
           v += 1
         }
       }
     }
-  }
 
   // ------------------------------------------------------ sampling stats
   /** (coverage, inter-component edge fraction) of the sampled labeling —

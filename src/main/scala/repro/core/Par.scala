@@ -1,14 +1,33 @@
 package repro.core
 
+import java.util.concurrent.{Phaser, TimeUnit, TimeoutException}
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong, AtomicReference}
 import org.apache.spark.sql.SparkSession
+import repro.graph.SharedState
 
-/** Spark-side parallel-for: the execution substrate for all kernels.
+/** Spark-side parallel execution: the substrate for all kernels.
   *
-  * A call to [[jobs]] runs one Spark job whose tasks are the paper's
-  * "threads"; the job boundary is the synchronization barrier between
-  * rounds of round-synchronous algorithms. Closures passed here must
-  * capture only small serializable values (ids, options) — shared arrays
-  * are reached through [[repro.graph.SharedState]].
+  * Two ways to run a parallel step:
+  *  - [[gang]] runs a whole multi-round computation as ONE Spark job in
+  *    barrier execution mode: P tasks (P = the task slots of the local
+  *    master) start together and stay alive for the run; the paper's
+  *    fork-join barrier between rounds is a `java.util.concurrent.Phaser`
+  *    shared by the tasks, costing tens of microseconds instead of a job
+  *    launch. Every union-find ConnectIt run (sampling, normalization,
+  *    frequent label, finish, label resolution) is one gang job.
+  *    Spark's own `BarrierTaskContext.barrier()` is not used for rounds:
+  *    it is an RPC round trip through the driver's barrier coordinator,
+  *    about a second per call, so it is slower than a job launch.
+  *  - [[jobs]] / [[maybeJobs]] run one Spark job per round (or inline on
+  *    the driver below [[GrainSize]]). The min-based finishes, streaming
+  *    batches, AMSF and SCAN still use them: their rounds are many and
+  *    tiny, so a gang's per-round barrier would cost as much as the work.
+  *
+  * A [[gang]] body is registered in [[SharedState]] and never serialized,
+  * so it may capture the run's shared objects directly. Closures passed
+  * to [[jobs]] are serialized and must capture only small values (ids,
+  * options); they reach shared arrays through [[SharedState]]. Both are
+  * valid only in local mode, which [[gang]] checks.
   */
 object Par {
   /** Below this estimated work a "round" runs inline on the driver
@@ -37,5 +56,158 @@ object Par {
     val per = (n + nChunks - 1) / nChunks
     val lo = math.min(n, i * per)
     (lo, math.min(n, lo + per))
+  }
+
+  // ================================================================ gang
+  /** How long a task waits at a gang barrier for its peers before it
+    * fails the run. No legitimate round keeps a task waiting this long:
+    * dynamic ranges leave at most one block of imbalance, and the
+    * task-0-only steps are short sequential passes.
+    */
+  private[core] val BarrierTimeoutSec: Long = 120L
+
+  private val LocalN = """local\[\s*([0-9]+|\*)\s*(?:,\s*[0-9]+\s*)?\]""".r
+
+  /** Task slots of a Spark master that runs tasks inside this JVM:
+    * `local` is 1, `local[N]` / `local[N,F]` is N, `local[*]` is `cores`;
+    * each task takes `taskCpus` of them. Any other master is rejected:
+    * gang tasks share memory with the driver through [[SharedState]].
+    */
+  def taskSlots(master: String, cores: Int, taskCpus: Int): Int = {
+    val n = master.trim match {
+      case "local" => 1
+      case LocalN("*") => cores
+      case LocalN(k) => k.toInt
+      case other => throw new IllegalArgumentException(
+        s"gang jobs need a local master (local, local[N], local[*]); got '$other'")
+    }
+    math.max(1, n / math.max(1, taskCpus))
+  }
+
+  /** Task slots of this session's master (the default gang size). */
+  def taskSlots(spark: SparkSession): Int = {
+    val sc = spark.sparkContext
+    taskSlots(sc.master, Runtime.getRuntime.availableProcessors, sc.getConf.getInt("spark.task.cpus", 1))
+  }
+
+  private val gangCounter = new AtomicLong(0)
+
+  /** Run `body` on P tasks of one barrier-mode Spark job (P defaults to
+    * the task slots). The tasks synchronize through [[Task.sync]]. If a
+    * task throws, its peers stop at their next barrier and this call
+    * throws the original exception. `run` names the run in errors.
+    */
+  def gang(spark: SparkSession, run: String, p: Int = 0)(body: Task => Unit): Unit = {
+    val slots = taskSlots(spark)
+    val size = if (p > 0) p else slots
+    require(size <= slots,
+      s"gang of $size tasks for $run exceeds the $slots task slots of " +
+      s"${spark.sparkContext.master}: a barrier job could never start")
+    val key = s"gang:$run#${gangCounter.incrementAndGet()}"
+    val g = new Gang(key, size, body)
+    SharedState.put(key, g)
+    try {
+      spark.sparkContext.parallelize(0 until size, size).barrier()
+        .mapPartitions { it => SharedState.get[Gang](key).runTask(it.next()); Iterator.empty[Int] }
+        .count()
+    } catch {
+      case e: Throwable =>
+        g.abort()
+        throw Option(g.failure.get).getOrElse(e)
+    } finally SharedState.remove(key)
+  }
+
+  /** Thrown at a barrier when a peer has failed; the peer's exception is
+    * the one reported.
+    */
+  private final class PeerFailed(run: String)
+    extends RuntimeException(s"$run: stopped because a peer task failed", null, false, false)
+
+  /** Shared state of one gang run: the round barrier, the first failure
+    * and the cursors of dynamically claimed ranges.
+    */
+  private[core] final class Gang(val id: String, val size: Int, body: Task => Unit) {
+    private val phaser = new Phaser(size)
+    val failure = new AtomicReference[Throwable]()
+    private val live = new AtomicInteger(0)
+    /** Cursors of dynamic loops, used alternately (see [[Task.forDynamic]]). */
+    val cursors: Array[AtomicInteger] = Array.fill(2)(new AtomicInteger(0))
+
+    def runTask(index: Int): Unit = {
+      // a retried attempt of a failed stage must not run the body again
+      if (phaser.isTerminated) throw new PeerFailed(id)
+      live.incrementAndGet()
+      try body(new Task(this, index))
+      catch {
+        case e: Throwable =>
+          if (!e.isInstanceOf[PeerFailed]) failure.compareAndSet(null, e)
+          phaser.forceTermination()
+          throw e
+      } finally live.decrementAndGet()
+    }
+
+    def await(round: Int): Unit = {
+      val phase = phaser.arrive()
+      if (phase < 0) throw new PeerFailed(id)
+      val next =
+        try phaser.awaitAdvanceInterruptibly(phase, BarrierTimeoutSec, TimeUnit.SECONDS)
+        catch {
+          case _: TimeoutException => throw new IllegalStateException(
+            s"$id: barrier of round $round timed out after ${BarrierTimeoutSec}s " +
+            "waiting for peer tasks (a task is stuck or did not reach the barrier)")
+        }
+      if (next < 0) throw new PeerFailed(id)
+    }
+
+    /** After a failed job: stop every task at its next barrier and wait
+      * until none is still inside the body, so a failed run leaves nothing
+      * running behind it.
+      */
+    def abort(): Unit = {
+      phaser.forceTermination()
+      val deadline = System.nanoTime() + TimeUnit.SECONDS.toNanos(BarrierTimeoutSec)
+      while (live.get() > 0 && System.nanoTime() < deadline) Thread.sleep(1)
+    }
+  }
+
+  /** One task's view of a gang run. All tasks must make the same
+    * sequence of [[sync]] / [[single]] / [[forDynamic]] calls.
+    */
+  final class Task private[Par] (gang: Gang, val index: Int) {
+    def size: Int = gang.size
+    private var round = 0
+    private var loops = 0
+
+    /** Round barrier: returns once every task has reached it. Writes made
+      * before it are visible to every task after it.
+      */
+    def sync(): Unit = { gang.await(round); round += 1 }
+
+    /** Task 0 runs `f`, then all tasks meet at a barrier. Whatever `f`
+      * touches must not have been read or written by other tasks since
+      * the last barrier.
+      */
+    def single(f: => Unit): Unit = { if (index == 0) f; sync() }
+
+    /** This task's static share of [0, n). */
+    def range(n: Int): (Int, Int) = Par.range(n, size, index)
+
+    /** Blocks of [0, n) of at least `minGrain` items, claimed dynamically
+      * by whichever task is free; ends in a barrier. Loop k claims from
+      * cursor k mod 2 while task 0 zeroes the other one, which loop k - 1
+      * used; the barriers around loop k keep the two apart.
+      */
+    def forDynamic(n: Int, minGrain: Int = 64)(f: (Int, Int) => Unit): Unit = {
+      val grain = math.max(minGrain, n / (size * 16))
+      val cursor = gang.cursors(loops & 1)
+      if (index == 0) gang.cursors((loops + 1) & 1).set(0)
+      loops += 1
+      var lo = cursor.getAndIncrement().toLong * grain
+      while (lo < n) {
+        f(lo.toInt, math.min(n.toLong, lo + grain).toInt)
+        lo = cursor.getAndIncrement().toLong * grain
+      }
+      sync()
+    }
   }
 }

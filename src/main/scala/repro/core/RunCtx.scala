@@ -13,8 +13,7 @@ final class RunCtx(val id: String, val n: Int) {
     * "smaller than every vertex id" label used when composing
     * non-monotone min-based finish methods with sampling (B.2.6).
     */
-  val parents = new AtomicIntegerArray(n)
-  locally { var i = 0; while (i < n) { parents.set(i, i); i += 1 } }
+  val parents = new AtomicIntegerArray(Array.range(0, n))
 
   /** Hooks array for UF-Hooks (Alg 11); -1 = unhooked. */
   @volatile var hooks: AtomicIntegerArray = _
@@ -91,9 +90,7 @@ final class RunCtx(val id: String, val n: Int) {
     var i = 0; while (i < n) { prev(i) = parents.get(i); i += 1 }
   }
 
-  /** Copy current parents into `sampled` (post-sampling snapshot).
-    * `copyRange` supports the parallel snapshot in ConnectIt.
-    */
+  /** Copy current parents into `sampled` (post-sampling snapshot). */
   def snapshotSampled(): Unit = {
     val s = new Array[Int](n)
     var i = 0; while (i < n) { s(i) = parents.get(i); i += 1 }
@@ -101,11 +98,6 @@ final class RunCtx(val id: String, val n: Int) {
   }
 
   def allocSampled(): Unit = { sampled = new Array[Int](n) }
-
-  def snapshotRange(lo: Int, hi: Int): Unit = {
-    val s = sampled
-    var i = lo; while (i < hi) { s(i) = parents.get(i); i += 1 }
-  }
 
   /** Current labels as a plain array (no resolution). */
   def labelsRaw: Array[Int] = {
@@ -119,15 +111,20 @@ final class RunCtx(val id: String, val n: Int) {
     */
   def resolveLabels(sentinelRoot: Int = -1): Array[Int] = {
     val out = new Array[Int](n)
-    var i = 0
-    while (i < n) {
+    resolveRange(out, 0, n, sentinelRoot)
+    out
+  }
+
+  /** [[resolveLabels]] for vertices [lo, hi), written into `out`. */
+  def resolveRange(out: Array[Int], lo: Int, hi: Int, sentinelRoot: Int = -1): Unit = {
+    var i = lo
+    while (i < hi) {
       var v = i
       var p = parents.get(v)
       while (p >= 0 && p != v) { v = p; p = parents.get(v) }
       out(i) = if (p < 0) sentinelRoot else v
       i += 1
     }
-    out
   }
 
   /** Spanning-forest edges currently recorded (filtered, Alg 2 line 7). */

@@ -6,8 +6,9 @@ import repro.core.{Par, RunCtx}
 import repro.graph.{GraphGen, HostGraph}
 
 /** Shared frontier state for level-synchronous traversals (BFS, LDD,
-  * Label-Propagation). Lives in a RunCtx's aux map; tasks reach it via
-  * SharedState, never through closures.
+  * Label-Propagation). Gang kernels hold it directly; Label-Propagation's
+  * per-round jobs reach it through its RunCtx's aux map, never through
+  * closures.
   */
 final class Frontier(val n: Int) {
   var cur: Array[Int] = new Array[Int](0)
@@ -45,70 +46,87 @@ final class Frontier(val n: Int) {
   * otherwise the labeling is reset and (up to c times) retried.
   */
 object BfsSampling {
-  private[repro] val FKey = "bfs-frontier"
 
-  /** Run sampling; returns true iff a big component was found. */
+  /** Run sampling in its own gang job; returns true iff a big component
+    * was found.
+    */
   def sample(spark: SparkSession, g: HostGraph, ctx: RunCtx,
              c: Int, seed: Long): Boolean = {
-    val n = g.n
-    val f = new Frontier(n)
-    ctx.aux.put(FKey, f)
-    try {
-      var t = 0
-      while (t < c) {
+    val k = new Kernel(g, ctx, c, seed)
+    Par.gang(spark, ctx.id)(k)
+    k.found
+  }
+
+  /** Task-side sampling kernel; `found` is set once it has run. */
+  final class Kernel(g: HostGraph, ctx: RunCtx, c: Int, seed: Long) extends (Par.Task => Unit) {
+    private val bfs = new Bfs(g, ctx)
+    @volatile var found = false
+
+    def apply(t: Par.Task): Unit = {
+      val n = g.n
+      var tr = 0
+      var done = false
+      while (tr < c && !done) {
         // pick a random source, preferring one with nonzero degree
         var src = -1
         var probe = 0
         while (src < 0 && probe < 100) {
-          val cand = ((GraphGen.mix(seed + t * 1000 + probe) >>> 1) % n).toInt
+          val cand = ((GraphGen.mix(seed + tr * 1000 + probe) >>> 1) % n).toInt
           if (g.degree(cand) > 0) src = cand
           probe += 1
         }
         if (src < 0) src = 0
-        val covered = bfs(spark, g, ctx, src)
-        if (covered > n / 10) return true
-        reset(spark, ctx)
-        t += 1
+        if (bfs(t, src) > n / 10) done = true
+        else reset(t)
+        tr += 1
       }
-      false
-    } finally ctx.aux.remove(FKey)
+      if (t.index == 0) found = done
+    }
+
+    /** Reset labels (and forest slots) to pristine state (failed try). */
+    private def reset(t: Par.Task): Unit = {
+      val (lo, hi) = t.range(ctx.n)
+      val fo = ctx.forest
+      var v = lo
+      while (v < hi) {
+        ctx.parents.set(v, v)
+        if (fo != null) fo.set(v, -1L)
+        v += 1
+      }
+      t.sync()
+    }
   }
 
-  /** One full BFS from src, claiming vertices via CAS on the parents
-    * array (parents(v): v -> src). Returns the number of vertices
-    * covered (including src). Records forest tree edges if enabled.
+  /** One full BFS per call, claiming vertices via CAS on the parents
+    * array (parents(v): v -> src); records forest tree edges if enabled.
     */
-  def bfs(spark: SparkSession, g: HostGraph, ctx: RunCtx, src: Int): Int = {
-    val n = g.n
-    val f = ctx.aux.get(FKey).asInstanceOf[Frontier]
-    f.cur = Array(src)
-    f.size = 1
-    var covered = 1
-    val gid = g.id
-    val cid = ctx.id
-    val nChunks = Par.defaultChunks(spark)
-    while (f.size > 0) {
-      val bottomUp = f.size > n / 20
-      if (bottomUp) {
-        Par.maybeJobs(spark, n.toLong, nChunks) { i =>
-          val gr = HostGraph.lookup(gid)
-          val cx = RunCtx.lookup(cid)
-          val fr = cx.aux.get(FKey).asInstanceOf[Frontier]
-          val (lo, hi) = Par.range(gr.n, nChunks, i)
+  final class Bfs(g: HostGraph, ctx: RunCtx) {
+    private val f = new Frontier(g.n)
+
+    /** Task-side BFS from `src`; returns the number of vertices covered
+      * (including src), the same on every task.
+      */
+    def apply(t: Par.Task, src: Int): Int = {
+      val n = g.n
+      t.single { f.cur = Array(src); f.size = 1 }
+      var covered = 1
+      while (f.size > 0) {
+        val fsz = f.size
+        if (fsz > n / 20) t.forDynamic(n, 256) { (lo, hi) =>
+          // bottom-up: unvisited vertices probe for a visited neighbour
           val buf = new Array[Int](hi - lo)
           var len = 0
           var v = lo
           while (v < hi) {
-            if (cx.parents.get(v) == v && v != src) {
-              // probe neighbours for a visited one
-              val off = gr.offsets(v); val end = gr.offsets(v + 1)
+            if (ctx.parents.get(v) == v && v != src) {
+              val off = g.offsets(v); val end = g.offsets(v + 1)
               var j = off
               var done = false
               while (j < end && !done) {
-                val w = gr.targets(j)
-                if (w == src || cx.parents.get(w) == src) {
-                  cx.parents.set(v, src)
-                  val fo = cx.forest
+                val w = g.targets(j)
+                if (w == src || ctx.parents.get(w) == src) {
+                  ctx.parents.set(v, src)
+                  val fo = ctx.forest
                   if (fo != null) fo.set(v, (w.toLong << 32) | (v.toLong & 0xffffffffL))
                   buf(len) = v; len += 1
                   done = true
@@ -118,27 +136,19 @@ object BfsSampling {
             }
             v += 1
           }
-          fr.publish(buf, len)
-        }
-      } else {
-        val fsz = f.size
-        val work = estimateWork(g, f)
-        Par.maybeJobs(spark, work, nChunks) { i =>
-          val gr = HostGraph.lookup(gid)
-          val cx = RunCtx.lookup(cid)
-          val fr = cx.aux.get(FKey).asInstanceOf[Frontier]
-          val (lo, hi) = Par.range(fsz, nChunks, i)
+          f.publish(buf, len)
+        } else t.forDynamic(fsz, 16) { (lo, hi) =>
           var buf = new Array[Int](256)
           var len = 0
           var fi = lo
           while (fi < hi) {
-            val v = fr.cur(fi)
-            val off = gr.offsets(v); val end = gr.offsets(v + 1)
+            val v = f.cur(fi)
+            val off = g.offsets(v); val end = g.offsets(v + 1)
             var j = off
             while (j < end) {
-              val w = gr.targets(j)
-              if (w != src && cx.parents.compareAndSet(w, w, src)) {
-                val fo = cx.forest
+              val w = g.targets(j)
+              if (w != src && ctx.parents.compareAndSet(w, w, src)) {
+                val fo = ctx.forest
                 if (fo != null) fo.set(w, (v.toLong << 32) | (w.toLong & 0xffffffffL))
                 if (len == buf.length) buf = java.util.Arrays.copyOf(buf, len * 2)
                 buf(len) = w; len += 1
@@ -147,37 +157,12 @@ object BfsSampling {
             }
             fi += 1
           }
-          fr.publish(buf, len)
+          f.publish(buf, len)
         }
+        t.single(f.advance())
+        covered += f.size
       }
-      covered += f.advance()
-    }
-    covered
-  }
-
-  private def estimateWork(g: HostGraph, f: Frontier): Long = {
-    // sample a few frontier degrees to estimate round work
-    var s = 0L
-    val step = math.max(1, f.size / 16)
-    var i = 0
-    while (i < f.size) { s += g.degree(f.cur(i)); i += step }
-    s * step + f.size
-  }
-
-  /** Reset labels (and forest slots) to pristine state (failed try). */
-  def reset(spark: SparkSession, ctx: RunCtx): Unit = {
-    val cid = ctx.id
-    val nc = Par.defaultChunks(spark)
-    Par.maybeJobs(spark, ctx.n.toLong, nc) { i =>
-      val cx = RunCtx.lookup(cid)
-      val (lo, hi) = Par.range(cx.n, nc, i)
-      var v = lo
-      while (v < hi) {
-        cx.parents.set(v, v)
-        val fo = cx.forest
-        if (fo != null) fo.set(v, -1L)
-        v += 1
-      }
+      covered
     }
   }
 }

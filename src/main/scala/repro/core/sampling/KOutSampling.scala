@@ -16,71 +16,59 @@ import repro.graph.{GraphGen, HostGraph}
   */
 object KOutSampling {
 
+  /** Run k-out sampling in its own gang job. */
   def sample(spark: SparkSession, g: HostGraph, ctx: RunCtx,
-             k: Int, variant: KOutVariant, seed: Long): Unit = {
-    val nChunks = Par.defaultChunks(spark)
-    val gid = g.id
-    val cid = ctx.id
+             k: Int, variant: KOutVariant, seed: Long): Unit =
+    Par.gang(spark, ctx.id)(kernel(g, ctx, k, variant, seed))
+
+  /** Task-side kernel: a vertex-parallel round of unions, then a round
+    * that fully compresses the components array (Alg 4 line 4).
+    */
+  def kernel(g: HostGraph, ctx: RunCtx, k: Int, variant: KOutVariant,
+             seed: Long): Par.Task => Unit = { t =>
     val opt = UnionFindOpt(UfRemCas, FindNaive, SplitAtomicOne)
-    Par.jobs(spark, nChunks) { i =>
-      val gr = HostGraph.lookup(gid)
-      val cx = RunCtx.lookup(cid)
-      val (lo, hi) = Par.range(gr.n, nChunks, i)
+    @inline def randomNeighbour(v: Int, off: Int, deg: Int, j: Int): Int =
+      g.targets(off + ((GraphGen.mix(seed ^ GraphGen.mix(v.toLong * 131 + j)) >>> 1) % deg).toInt)
+    t.forDynamic(g.n) { (lo, hi) =>
       var v = lo
       while (v < hi) {
-        val off = gr.offsets(v)
-        val deg = gr.offsets(v + 1) - off
+        val off = g.offsets(v)
+        val deg = g.offsets(v + 1) - off
         if (deg > 0) {
           variant match {
             case KOutAfforest =>
               var j = 0
               while (j < k && j < deg) {
-                UnionFind.union(cx, opt, v, gr.targets(off + j)); j += 1
+                UnionFind.union(ctx, opt, v, g.targets(off + j)); j += 1
               }
             case KOutPure =>
               var j = 0
-              while (j < k) {
-                val t = gr.targets(off + ((GraphGen.mix(seed ^ GraphGen.mix(v.toLong * 131 + j)) >>> 1) % deg).toInt)
-                UnionFind.union(cx, opt, v, t); j += 1
-              }
+              while (j < k) { UnionFind.union(ctx, opt, v, randomNeighbour(v, off, deg, j)); j += 1 }
             case KOutHybrid =>
-              UnionFind.union(cx, opt, v, gr.targets(off))
+              UnionFind.union(ctx, opt, v, g.targets(off))
               var j = 1
-              while (j < k) {
-                val t = gr.targets(off + ((GraphGen.mix(seed ^ GraphGen.mix(v.toLong * 131 + j)) >>> 1) % deg).toInt)
-                UnionFind.union(cx, opt, v, t); j += 1
-              }
+              while (j < k) { UnionFind.union(ctx, opt, v, randomNeighbour(v, off, deg, j)); j += 1 }
             case KOutMaxDeg =>
               // reduce over all neighbours for the max-degree endpoint
-              var best = gr.targets(off); var bestDeg = -1
+              var best = g.targets(off); var bestDeg = -1
               var j = 0
               while (j < deg) {
-                val t = gr.targets(off + j)
-                val d = gr.offsets(t + 1) - gr.offsets(t)
-                if (d > bestDeg) { bestDeg = d; best = t }
+                val w = g.targets(off + j)
+                val d = g.offsets(w + 1) - g.offsets(w)
+                if (d > bestDeg) { bestDeg = d; best = w }
                 j += 1
               }
-              UnionFind.union(cx, opt, v, best)
+              UnionFind.union(ctx, opt, v, best)
               j = 1
-              while (j < k) {
-                val t = gr.targets(off + ((GraphGen.mix(seed ^ GraphGen.mix(v.toLong * 131 + j)) >>> 1) % deg).toInt)
-                UnionFind.union(cx, opt, v, t); j += 1
-              }
+              while (j < k) { UnionFind.union(ctx, opt, v, randomNeighbour(v, off, deg, j)); j += 1 }
           }
         }
         v += 1
       }
     }
-    // Fully compress the components array, in parallel (Alg 4 line 4).
-    Par.jobs(spark, nChunks) { i =>
-      val cx = RunCtx.lookup(cid)
-      val (lo, hi) = Par.range(cx.n, nChunks, i)
-      var v = lo
-      while (v < hi) {
-        val r = AtomicOps.findNaive(cx, v)
-        cx.parents.set(v, r)
-        v += 1
-      }
-    }
+    val (lo, hi) = t.range(ctx.n)
+    var v = lo
+    while (v < hi) { ctx.parents.set(v, AtomicOps.findNaive(ctx, v)); v += 1 }
+    t.sync()
   }
 }

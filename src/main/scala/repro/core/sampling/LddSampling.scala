@@ -1,6 +1,6 @@
 package repro.core.sampling
 
-import java.util.concurrent.atomic.{AtomicInteger, AtomicIntegerArray}
+import java.util.concurrent.atomic.{AtomicInteger, AtomicIntegerArray, AtomicLong}
 import org.apache.spark.sql.SparkSession
 import repro.core.{Par, RunCtx}
 import repro.graph.{GraphGen, HostGraph}
@@ -18,104 +18,126 @@ import repro.graph.{GraphGen, HostGraph}
   * ConnectIt.normalizeSampled).
   */
 object LddSampling {
-  private val FKey = "ldd-frontier"
 
+  /** Run LDD sampling in its own gang job. */
   def sample(spark: SparkSession, g: HostGraph, ctx: RunCtx,
-             beta: Double, permute: Boolean, seed: Long): Unit = {
-    val n = g.n
-    // Bucket vertices by integer start time. The exponential tail is
-    // capped; anything beyond the cap starts at the cap round.
-    // MPX start times: s_v = delta_max - delta_v with delta_v ~ Exp(beta)
-    // — the few vertices with the LARGEST shifts wake up first and their
-    // clusters claim almost everything before the rest start.
-    val shifts = new Array[Double](n)
-    var dmax = 0.0
-    var v = 0
-    while (v < n) {
-      val key = if (permute) (GraphGen.mix(seed ^ (v * 0x9E3779B9L)) >>> 1) else v.toLong
-      val u = GraphGen.u01(seed, key, 77)
-      val s = -math.log(1.0 - u) / beta
-      shifts(v) = s
-      if (s > dmax) dmax = s
-      v += 1
-    }
-    val maxBucket = math.max(4, dmax.toInt + 1)
-    val byRound = Array.fill(maxBucket + 1)(new scala.collection.mutable.ArrayBuffer[Int]())
-    v = 0
-    while (v < n) {
-      val start = dmax - shifts(v)
-      byRound(math.min(maxBucket, start.toInt)) += v
-      v += 1
+             beta: Double, permute: Boolean, seed: Long): Unit =
+    Par.gang(spark, ctx.id)(new Kernel(g, ctx, beta, permute, seed))
+
+  /** Task-side kernel. Rounds alternate a parallel one-hop expansion of
+    * every cluster frontier with a task-0 step that advances the frontier
+    * and wakes the next round's centers.
+    */
+  final class Kernel(g: HostGraph, ctx: RunCtx, beta: Double, permute: Boolean,
+                     seed: Long) extends (Par.Task => Unit) {
+    private val n = g.n
+    private val shifts = new Array[Double](n)
+    /** Bits of the largest shift; non-negative doubles order as longs. */
+    private val dmaxBits = new AtomicLong(0L)
+    private val bucketOf = new Array[Int](n)
+    /** Vertices by start round (ascending id within a round): round r's
+      * centers are order(bucketStart(r) until bucketStart(r + 1)).
+      */
+    private val order = new Array[Int](n)
+    private var bucketStart: Array[Int] = _
+    private val claimed = new AtomicIntegerArray(n)
+    private val claimedCount = new AtomicInteger(0)
+    private val f = new Frontier(n)
+    /** Whether another round is due; written by task 0 between barriers. */
+    private var more = true
+
+    def apply(t: Par.Task): Unit = {
+      // MPX start times: s_v = delta_max - delta_v with delta_v ~ Exp(beta)
+      // — the few vertices with the LARGEST shifts wake up first and their
+      // clusters claim almost everything before the rest start.
+      val (lo, hi) = t.range(n)
+      var localMax = 0.0
+      var v = lo
+      while (v < hi) {
+        val key = if (permute) (GraphGen.mix(seed ^ (v * 0x9E3779B9L)) >>> 1) else v.toLong
+        val s = -math.log(1.0 - GraphGen.u01(seed, key, 77)) / beta
+        shifts(v) = s
+        if (s > localMax) localMax = s
+        v += 1
+      }
+      dmaxBits.accumulateAndGet(java.lang.Double.doubleToLongBits(localMax), math.max)
+      t.sync()
+      // Bucket vertices by integer start time. The exponential tail is
+      // capped; anything beyond the cap starts at the cap round.
+      val dmax = java.lang.Double.longBitsToDouble(dmaxBits.get())
+      val maxBucket = math.max(4, dmax.toInt + 1)
+      v = lo
+      while (v < hi) { bucketOf(v) = math.min(maxBucket, (dmax - shifts(v)).toInt); v += 1 }
+      t.sync()
+      t.single { sortByBucket(maxBucket); wake(0) }
+      var round = 0
+      while (more) {
+        // expand all cluster frontiers one hop; the barrier that ends it
+        // also orders every task's reads of `f.size` and `more` before
+        // task 0 rewrites them
+        val fsz = f.size
+        if (fsz == 0) t.sync()
+        else t.forDynamic(fsz, 256) { (lo, hi) =>
+          var buf = new Array[Int](256)
+          var len = 0
+          var fi = lo
+          while (fi < hi) {
+            val u = f.cur(fi)
+            val lab = ctx.parents.get(u)
+            val off = g.offsets(u); val end = g.offsets(u + 1)
+            var j = off
+            while (j < end) {
+              val w = g.targets(j)
+              if (claimed.get(w) == 0 && claimed.compareAndSet(w, 0, 1)) {
+                ctx.parents.set(w, lab)
+                val fo = ctx.forest
+                if (fo != null) fo.set(w, (u.toLong << 32) | (w.toLong & 0xffffffffL))
+                if (len == buf.length) buf = java.util.Arrays.copyOf(buf, len * 2)
+                buf(len) = w; len += 1
+              }
+              j += 1
+            }
+            fi += 1
+          }
+          claimedCount.addAndGet(len)
+          f.publish(buf, len)
+        }
+        round += 1
+        t.single { f.advance(); wake(round) }
+      }
     }
 
-    val claimed = new AtomicIntegerArray(n)
-    val claimedCount = new AtomicInteger(0)
-    val f = new Frontier(n)
-    ctx.aux.put(FKey, f)
-    ctx.aux.put("ldd-claimed", claimed)
-    val gid = g.id
-    val cid = ctx.id
-    val nChunks = Par.defaultChunks(spark)
-    try {
-      var t = 0
-      f.size = 0
-      while (claimedCount.get() < n || f.size > 0) {
-        // (1) wake up this round's centers (driver side: bucket append)
-        if (t <= maxBucket) {
-          val bucket = byRound(t)
-          var bi = 0
-          while (bi < bucket.length) {
-            val c = bucket(bi)
-            if (claimed.compareAndSet(c, 0, 1)) {
-              // center: label already == self
-              if (f.cur.length < f.size + 1)
-                f.cur = java.util.Arrays.copyOf(f.cur, math.max(16, 2 * (f.size + 1)))
-              f.cur(f.size) = c; f.size += 1
-              claimedCount.incrementAndGet()
-            }
-            bi += 1
+    /** Stable counting sort of the vertices by start round. */
+    private def sortByBucket(maxBucket: Int): Unit = {
+      val start = new Array[Int](maxBucket + 2)
+      var v = 0
+      while (v < n) { start(bucketOf(v) + 1) += 1; v += 1 }
+      var b = 0
+      while (b <= maxBucket) { start(b + 1) += start(b); b += 1 }
+      val cursor = java.util.Arrays.copyOf(start, maxBucket + 1)
+      v = 0
+      while (v < n) { val b = bucketOf(v); order(cursor(b)) = v; cursor(b) += 1; v += 1 }
+      bucketStart = start
+    }
+
+    /** Task 0: start round r's unclaimed centers (label already == self)
+      * as frontier vertices, then decide whether another round is due.
+      */
+    private def wake(r: Int): Unit = {
+      if (r + 1 < bucketStart.length) {
+        var i = bucketStart(r)
+        while (i < bucketStart(r + 1)) {
+          val c = order(i)
+          if (claimed.compareAndSet(c, 0, 1)) {
+            if (f.cur.length < f.size + 1)
+              f.cur = java.util.Arrays.copyOf(f.cur, math.max(16, 2 * (f.size + 1)))
+            f.cur(f.size) = c; f.size += 1
+            claimedCount.incrementAndGet()
           }
+          i += 1
         }
-        // (2) expand all cluster frontiers one hop
-        val fsz = f.size
-        if (fsz > 0) {
-          Par.maybeJobs(spark, fsz.toLong * 8, nChunks) { i =>
-            val gr = HostGraph.lookup(gid)
-            val cx = RunCtx.lookup(cid)
-            val fr = cx.aux.get(FKey).asInstanceOf[Frontier]
-            val cl = cx.aux.get("ldd-claimed").asInstanceOf[AtomicIntegerArray]
-            val (lo, hi) = Par.range(fsz, nChunks, i)
-            var buf = new Array[Int](256)
-            var len = 0
-            var fi = lo
-            while (fi < hi) {
-              val u = fr.cur(fi)
-              val lab = cx.parents.get(u)
-              val off = gr.offsets(u); val end = gr.offsets(u + 1)
-              var j = off
-              while (j < end) {
-                val w = gr.targets(j)
-                if (cl.get(w) == 0 && cl.compareAndSet(w, 0, 1)) {
-                  cx.parents.set(w, lab)
-                  val fo = cx.forest
-                  if (fo != null) fo.set(w, (u.toLong << 32) | (w.toLong & 0xffffffffL))
-                  if (len == buf.length) buf = java.util.Arrays.copyOf(buf, len * 2)
-                  buf(len) = w; len += 1
-                }
-                j += 1
-              }
-              fi += 1
-            }
-            fr.publish(buf, len)
-          }
-          claimedCount.addAndGet(f.nextCnt.get())
-        }
-        f.advance()
-        t += 1
       }
-    } finally {
-      ctx.aux.remove(FKey)
-      ctx.aux.remove("ldd-claimed")
+      more = claimedCount.get() < n || f.size > 0
     }
   }
 }

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart}
 import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.core.Options._
 import repro.graph.Reference
@@ -88,6 +90,64 @@ class ConnectItSpec extends SparkSpec {
       UnionFindOpt(UfRemCas), sampleStats = true)
     assert(res.coverage >= 0.0 && res.coverage <= 1.0)
     assert(res.interCompFrac >= 0.0 && res.interCompFrac <= 1.0)
+  }
+
+  /** Number of Spark jobs `f` launches, counted by a SparkListener. A
+    * sentinel job drains the asynchronous listener bus before counting.
+    */
+  private def jobsOf(f: => Unit): Int = {
+    val started = new AtomicInteger(0)
+    val sentinelDone = new java.util.concurrent.CountDownLatch(1)
+    val sentinelJobs = java.util.concurrent.ConcurrentHashMap.newKeySet[Int]()
+    val l = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (Option(e.properties).exists(_.getProperty("repro.sentinel") != null)) sentinelJobs.add(e.jobId)
+        else started.incrementAndGet()
+      override def onJobEnd(e: SparkListenerJobEnd): Unit =
+        if (sentinelJobs.contains(e.jobId)) sentinelDone.countDown()
+    }
+    val sc = spark.sparkContext
+    sc.addSparkListener(l)
+    try {
+      f
+      sc.setLocalProperty("repro.sentinel", "1")
+      try sc.parallelize(Seq(1), 1).count() finally sc.setLocalProperty("repro.sentinel", null)
+      assert(sentinelDone.await(30, java.util.concurrent.TimeUnit.SECONDS), "listener bus did not drain")
+      started.get()
+    } finally sc.removeSparkListener(l)
+  }
+
+  val gangSamplings: Seq[SamplingOpt] = Seq(
+    NoSampling,
+    KOutSampling(2, KOutAfforest), KOutSampling(2, KOutPure),
+    KOutSampling(2, KOutHybrid), KOutSampling(2, KOutMaxDeg),
+    BfsSampling(), LddSampling())
+
+  for (s <- gangSamplings) test(s"${s.name} + UF-Rem-CAS runs as exactly 1 Spark job") {
+    val (_, g, ref) = TestGraphs.suite(spark).find(_._1 == "rmat").get
+    var res: ConnectIt.CCResult = null
+    val jobs = jobsOf { res = ConnectIt.connectivity(spark, g, s, UnionFindOpt(UfRemCas)) }
+    assert(jobs == 1)
+    assert(Reference.samePartition(res.labels, ref))
+  }
+
+  for (s <- samplings)
+    test(s"spanning forest with ${s.name} + UF-Rem-CAS runs as exactly 1 Spark job") {
+      val g = TestGraphs.torus(spark)
+      var res: ConnectIt.CCResult = null
+      val jobs = jobsOf { res = ConnectIt.spanningForest(spark, g, s, UnionFindOpt(UfRemCas)) }
+      assert(jobs == 1)
+      assert(Reference.validSpanningForest(g, res.forest))
+    }
+
+  test("phase times of a sampled run lie within its wall time") {
+    val g = TestGraphs.rmat(spark)
+    val t0 = System.nanoTime()
+    val res = ConnectIt.connectivity(spark, g, KOutSampling(), UnionFindOpt(UfRemCas))
+    val wall = (System.nanoTime() - t0) / 1e9
+    assert(res.sampleSec > 0 && res.finishSec > 0)
+    assert(res.sampleSec + res.finishSec <= res.totalSec + 1e-9)
+    assert(res.totalSec <= wall)
   }
 
   test("forest request on a non-root-based finish is rejected") {
