@@ -36,8 +36,9 @@ object ConnectIt {
     * With a union-find finish the whole run is one gang job
     * ([[Par.gang]]): sampling, normalization, frequent label, finish and
     * label resolution are rounds of it. Task 0 times the phases at the
-    * barriers that end sampling (after the frequent label) and the
-    * finish; job launch and label resolution fall outside `totalSec`.
+    * barriers that start the run, end sampling (after the frequent label)
+    * and end the finish; job launch and label resolution fall outside
+    * `totalSec`.
     * The min-based finishes run sampling as one gang job and their own
     * rounds as jobs; their phases are timed on the driver.
     */
@@ -102,7 +103,8 @@ object ConnectIt {
     val labels = new Array[Int](g.n)
     val roots = new java.util.concurrent.atomic.AtomicInteger(0)
     Par.gang(spark, ctx.id) { t =>
-      if (t.index == 0) clock(0) = System.nanoTime()
+      // stamped before the first barrier, so no task has claimed work yet
+      t.single { clock(0) = System.nanoTime() }
       phase1.foreach(_(t))
       if (t.index == 0) clock(1) = System.nanoTime()
       unionFindFinish(t, g, ctx, u, phase1.fold(-1)(_.frequent.result))
@@ -272,6 +274,7 @@ object ConnectIt {
         var v = lo
         while (v < hi) { if (labels(v) == cand) c += 1; v += 1 }
         count.addAndGet(c)
+        t.sync() // every share is in before task 0 reads the total
         t.single { result = if (count.get() >= 2L) cand else -1 }
       }
     }

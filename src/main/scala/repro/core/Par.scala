@@ -33,7 +33,8 @@ object Par {
   /** Below this estimated work a "round" runs inline on the driver
     * thread instead of paying a Spark job launch — the same granularity
     * control any parallel-for runtime applies (a tiny BFS frontier is not
-    * worth a fork-join). Semantics are identical.
+    * worth a fork-join). Semantics are identical. Inside a [[gang]], a
+    * BFS level below it runs on task 0 instead of being split.
     */
   val GrainSize: Long = 65536L
 
@@ -92,17 +93,14 @@ object Par {
 
   private val gangCounter = new AtomicLong(0)
 
-  /** Run `body` on P tasks of one barrier-mode Spark job (P defaults to
-    * the task slots). The tasks synchronize through [[Task.sync]]. If a
-    * task throws, its peers stop at their next barrier and this call
-    * throws the original exception. `run` names the run in errors.
+  /** Run `body` on P tasks of one barrier-mode Spark job, P = the task
+    * slots, so every task of the gang can start at once. The tasks
+    * synchronize through [[Task.sync]]. If a task throws, its peers stop
+    * at their next barrier and this call throws the original exception.
+    * `run` names the run in errors.
     */
-  def gang(spark: SparkSession, run: String, p: Int = 0)(body: Task => Unit): Unit = {
-    val slots = taskSlots(spark)
-    val size = if (p > 0) p else slots
-    require(size <= slots,
-      s"gang of $size tasks for $run exceeds the $slots task slots of " +
-      s"${spark.sparkContext.master}: a barrier job could never start")
+  def gang(spark: SparkSession, run: String)(body: Task => Unit): Unit = {
+    val size = taskSlots(spark)
     val key = s"gang:$run#${gangCounter.incrementAndGet()}"
     val g = new Gang(key, size, body)
     SharedState.put(key, g)

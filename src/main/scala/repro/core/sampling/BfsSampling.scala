@@ -99,70 +99,108 @@ object BfsSampling {
 
   /** One full BFS per call, claiming vertices via CAS on the parents
     * array (parents(v): v -> src); records forest tree edges if enabled.
+    *
+    * A level is split across the tasks only when it is worth a barrier:
+    * bottom-up levels always, top-down levels when their frontier's
+    * edges reach [[Par.GrainSize]]. Consecutive smaller levels run back
+    * to back on task 0 inside one task-0 step, so a high-diameter graph
+    * (a torus BFS has hundreds of levels of a few thousand edges) pays
+    * no barrier per level.
     */
   final class Bfs(g: HostGraph, ctx: RunCtx) {
     private val f = new Frontier(g.n)
+    /** Vertices reached in the last task-0 step; read after its barrier. */
+    private var reached = 0
 
     /** Task-side BFS from `src`; returns the number of vertices covered
-      * (including src), the same on every task.
+      * (including src), the same on every task. Consecutive calls must be
+      * separated by a barrier.
       */
     def apply(t: Par.Task, src: Int): Int = {
       val n = g.n
-      t.single { f.cur = Array(src); f.size = 1 }
-      var covered = 1
+      t.single { f.cur = Array(src); f.size = 1; reached = smallLevels(src) }
+      var covered = 1 + reached
       while (f.size > 0) {
-        val fsz = f.size
-        if (fsz > n / 20) t.forDynamic(n, 256) { (lo, hi) =>
-          // bottom-up: unvisited vertices probe for a visited neighbour
-          val buf = new Array[Int](hi - lo)
-          var len = 0
-          var v = lo
-          while (v < hi) {
-            if (ctx.parents.get(v) == v && v != src) {
-              val off = g.offsets(v); val end = g.offsets(v + 1)
-              var j = off
-              var done = false
-              while (j < end && !done) {
-                val w = g.targets(j)
-                if (w == src || ctx.parents.get(w) == src) {
-                  ctx.parents.set(v, src)
-                  val fo = ctx.forest
-                  if (fo != null) fo.set(v, (w.toLong << 32) | (v.toLong & 0xffffffffL))
-                  buf(len) = v; len += 1
-                  done = true
-                }
-                j += 1
-              }
-            }
-            v += 1
-          }
-          f.publish(buf, len)
-        } else t.forDynamic(fsz, 16) { (lo, hi) =>
-          var buf = new Array[Int](256)
-          var len = 0
-          var fi = lo
-          while (fi < hi) {
-            val v = f.cur(fi)
-            val off = g.offsets(v); val end = g.offsets(v + 1)
-            var j = off
-            while (j < end) {
-              val w = g.targets(j)
-              if (w != src && ctx.parents.compareAndSet(w, w, src)) {
-                val fo = ctx.forest
-                if (fo != null) fo.set(w, (v.toLong << 32) | (w.toLong & 0xffffffffL))
-                if (len == buf.length) buf = java.util.Arrays.copyOf(buf, len * 2)
-                buf(len) = w; len += 1
-              }
-              j += 1
-            }
-            fi += 1
-          }
-          f.publish(buf, len)
-        }
-        t.single(f.advance())
-        covered += f.size
+        if (f.size > n / 20) t.forDynamic(n, 256)(bottomUp(src, _, _))
+        else t.forDynamic(f.size, 16)(topDown(src, _, _))
+        t.single { reached = f.advance(); reached += smallLevels(src) }
+        covered += reached
       }
       covered
+    }
+
+    /** Task 0: runs top-down levels while they are too small to split;
+      * returns the vertices they reached.
+      */
+    private def smallLevels(src: Int): Int = {
+      var sum = 0
+      while (f.size > 0 && f.size <= g.n / 20 && estimateWork() < Par.GrainSize) {
+        topDown(src, 0, f.size)
+        sum += f.advance()
+      }
+      sum
+    }
+
+    /** Frontier edges, estimated from a strided sample of degrees. */
+    private def estimateWork(): Long = {
+      var s = 0L
+      val step = math.max(1, f.size / 16)
+      var i = 0
+      while (i < f.size) { s += g.degree(f.cur(i)); i += step }
+      s * step + f.size
+    }
+
+    /** Top-down over frontier slots [lo, hi): claim unvisited neighbours. */
+    private def topDown(src: Int, lo: Int, hi: Int): Unit = {
+      var buf = new Array[Int](256)
+      var len = 0
+      var fi = lo
+      while (fi < hi) {
+        val v = f.cur(fi)
+        val off = g.offsets(v); val end = g.offsets(v + 1)
+        var j = off
+        while (j < end) {
+          val w = g.targets(j)
+          if (w != src && ctx.parents.compareAndSet(w, w, src)) {
+            val fo = ctx.forest
+            if (fo != null) fo.set(w, (v.toLong << 32) | (w.toLong & 0xffffffffL))
+            if (len == buf.length) buf = java.util.Arrays.copyOf(buf, len * 2)
+            buf(len) = w; len += 1
+          }
+          j += 1
+        }
+        fi += 1
+      }
+      f.publish(buf, len)
+    }
+
+    /** Bottom-up over vertices [lo, hi): unvisited vertices probe for a
+      * visited neighbour.
+      */
+    private def bottomUp(src: Int, lo: Int, hi: Int): Unit = {
+      val buf = new Array[Int](hi - lo)
+      var len = 0
+      var v = lo
+      while (v < hi) {
+        if (ctx.parents.get(v) == v && v != src) {
+          val off = g.offsets(v); val end = g.offsets(v + 1)
+          var j = off
+          var done = false
+          while (j < end && !done) {
+            val w = g.targets(j)
+            if (w == src || ctx.parents.get(w) == src) {
+              ctx.parents.set(v, src)
+              val fo = ctx.forest
+              if (fo != null) fo.set(v, (w.toLong << 32) | (v.toLong & 0xffffffffL))
+              buf(len) = v; len += 1
+              done = true
+            }
+            j += 1
+          }
+        }
+        v += 1
+      }
+      f.publish(buf, len)
     }
   }
 }

@@ -150,6 +150,24 @@ class ConnectItSpec extends SparkSpec {
     assert(res.totalSec <= wall)
   }
 
+  test("frequent label is exact when its members lie outside task 0's range") {
+    // n is above the size counted on task 0 alone, so the candidate is
+    // counted in parallel; its members fill the last fifth of [0, n),
+    // which task 0's static share never reaches, and the rest are
+    // singletons
+    val n = 100000
+    val big = n - 1
+    for (_ <- 0 until 20) {
+      val ctx = RunCtx.create(n)
+      try {
+        ctx.allocSampled()
+        var v = 0
+        while (v < n) { ctx.sampled(v) = if (v >= n - n / 5) big else v; v += 1 }
+        assert(ConnectIt.identifyFrequentPar(spark, ctx) == big)
+      } finally ctx.unregister()
+    }
+  }
+
   test("forest request on a non-root-based finish is rejected") {
     val g = TestGraphs.rmat(spark)
     assertThrows[IllegalArgumentException] {

@@ -75,12 +75,6 @@ class ParSpec extends SparkSpec {
     Par.gang(spark, "after-failure")(_.sync())
   }
 
-  test("a gang larger than the task slots is rejected up front") {
-    val p = Par.taskSlots(spark)
-    val e = intercept[IllegalArgumentException](Par.gang(spark, "too-big", p + 1)(_ => ()))
-    assert(e.getMessage.contains("task slots"))
-  }
-
   test("task slots come from a local master only") {
     assert(Par.taskSlots("local", 8, 1) == 1)
     assert(Par.taskSlots("local[3]", 8, 1) == 3)

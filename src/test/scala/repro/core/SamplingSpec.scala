@@ -64,6 +64,40 @@ class SamplingSpec extends SparkSpec {
     assert(res.interCompFrac == 0.0)
   }
 
+  test("BFS splits a wide top-down level across tasks and claims each vertex once") {
+    // center 0 -> 40 hubs -> the same 2048 leaves: the hubs' level has
+    // more frontier edges than Par.GrainSize, so the tasks claim the
+    // leaves concurrently; the leaves' level is bottom-up
+    val hubs = 40
+    val leaves = 2048
+    val n = 1 + hubs + leaves
+    val edges = (1 to hubs).map(h => (0, h)) ++
+      (for (h <- 1 to hubs; l <- 0 until leaves) yield (h, 1 + hubs + l))
+    val g = repro.graph.HostGraph.fromArray(spark, n, edges.toArray)
+    try {
+      for (_ <- 0 until 5) {
+        val ctx = RunCtx.create(n)
+        try {
+          ctx.ensureForest()
+          val bfs = new repro.core.sampling.BfsSampling.Bfs(g, ctx)
+          val covered = new java.util.concurrent.atomic.AtomicIntegerArray(1)
+          Par.gang(spark, "wide-bfs") { t =>
+            val c = bfs(t, 0)
+            if (t.index == 0) covered.set(0, c)
+          }
+          assert(covered.get(0) == n)
+          assert((0 until n).forall(ctx.parents.get(_) == 0))
+          // each vertex but the source holds one tree edge from the level above
+          for (w <- 1 until n) {
+            val e = ctx.forest.get(w)
+            val (u, x) = ((e >>> 32).toInt, (e & 0xffffffffL).toInt)
+            assert(x == w && (if (w <= hubs) u == 0 else u >= 1 && u <= hubs), s"vertex $w: edge ($u, $x)")
+          }
+        } finally ctx.unregister()
+      }
+    } finally g.unregister()
+  }
+
   test("LDD sampling with smaller beta cuts fewer edges on the torus") {
     val g = TestGraphs.torus(spark)
     def ic(beta: Double): Double =
