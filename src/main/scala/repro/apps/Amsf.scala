@@ -56,6 +56,9 @@ object Amsf {
     (idx.map(es), idx.map(ws))
   }
 
+  /** One AMSF run as one gang job: a bucket is a dynamically split pass
+    * over its edges, and the barrier that ends it orders the buckets.
+    */
   def run(spark: SparkSession, g: HostGraph, w: Array[Array[Double]],
           eps: Double, variant: Variant): Result = {
     val t0 = System.nanoTime()
@@ -67,92 +70,81 @@ object Amsf {
       if (wmax <= 0) return Result(0, 0, 0)
       val nBuckets = math.max(1,
         (math.log(wmax / wmin) / math.log1p(eps)).toInt + 1)
-      val cid = ctx.id
-      val nChunks = g.chunks.length
+      def upper(b: Int): Double =
+        if (b == nBuckets - 1) Double.MaxValue else wmin * math.pow(1 + eps, b + 1)
+      @inline def union(e: Long): Boolean =
+        UnionFind.union(ctx, ufOpt, (e >>> 32).toInt, (e & 0xffffffffL).toInt)
 
       variant match {
         case EA =>
           val (es, ws) = flatSorted(g, w)
-          ctx.aux.put("amsf-es", es)
+          // bucket b is es(bounds(b) until bounds(b + 1))
+          val bounds = new Array[Int](nBuckets + 1)
           var b = 0
-          var lo = 0
-          while (b < nBuckets && lo < es.length) {
-            val hiW = if (b == nBuckets - 1) Double.MaxValue
-                      else wmin * math.pow(1 + eps, b + 1)
-            var hi = lo
+          while (b < nBuckets) {
+            val hiW = upper(b)
+            var hi = bounds(b)
             while (hi < es.length && ws(hi) < hiW) hi += 1
-            if (hi > lo) {
-              val l = lo; val h = hi
-              Par.maybeJobs(spark, (h - l).toLong, nChunks) { i =>
-                val cx = RunCtx.lookup(cid)
-                val arr = cx.aux.get("amsf-es").asInstanceOf[Array[Long]]
-                val (a, z) = Par.range(h - l, nChunks, i)
-                var j = l + a
-                val end = l + z
-                while (j < end) {
-                  val e = arr(j)
-                  UnionFind.union(cx, ufOpt, (e >>> 32).toInt, (e & 0xffffffffL).toInt)
-                  j += 1
-                }
-              }
-            }
-            lo = hi
+            bounds(b + 1) = hi
             b += 1
           }
-          ctx.aux.remove("amsf-es")
+          Par.gang(spark, ctx.id) { t =>
+            var b = 0
+            while (b < nBuckets) {
+              val base = bounds(b)
+              if (bounds(b + 1) > base) t.forDynamic(bounds(b + 1) - base) { (lo, hi) =>
+                var j = base + lo
+                while (j < base + hi) { union(es(j)); j += 1 }
+              }
+              b += 1
+            }
+          }
 
         case F | NF | NFS =>
           // alive edge store (F compacts it; NF/NF-S leave it whole)
-          val store = g.chunks.map(a => java.util.Arrays.copyOf(a, a.length))
-          val wstore = w.map(a => java.util.Arrays.copyOf(a, a.length))
+          val store = g.chunks.map(_.clone())
+          val wstore = w.map(_.clone())
           val alive = store.map(_.length)
-          ctx.aux.put("amsf-store", store)
-          ctx.aux.put("amsf-w", wstore)
-          ctx.aux.put("amsf-alive", alive)
-          var b = 0
-          while (b < nBuckets) {
-            val loW = wmin * math.pow(1 + eps, b) - (if (b == 0) 1e-12 else 0)
-            val hiW = if (b == nBuckets - 1) Double.MaxValue
-                      else wmin * math.pow(1 + eps, b + 1)
-            // NF-S: identify the current largest component
-            var freq = -1
-            if (variant == NFS) {
-              val labels = ctx.resolveLabels()
-              freq = repro.core.ConnectIt.identifyFrequent(labels)
-              ctx.aux.put("amsf-labels", labels)
-            }
-            val fr = freq
-            val filt = variant == F
-            Par.maybeJobs(spark, g.m, nChunks) { i =>
-              val cx = RunCtx.lookup(cid)
-              val st = cx.aux.get("amsf-store").asInstanceOf[Array[Array[Long]]]
-              val wt = cx.aux.get("amsf-w").asInstanceOf[Array[Array[Double]]]
-              val al = cx.aux.get("amsf-alive").asInstanceOf[Array[Int]]
-              val lab = if (fr >= 0) cx.aux.get("amsf-labels").asInstanceOf[Array[Int]] else null
-              val arr = st(i); val warr = wt(i)
-              val lim = al(i)
-              var j = 0
-              var keep = 0
-              while (j < lim) {
-                val e = arr(j); val x = warr(j)
-                val inBucket = x >= loW && x < hiW
-                if (inBucket) {
-                  val u = (e >>> 32).toInt; val v = (e & 0xffffffffL).toInt
-                  // NF-S: skip only edges internal to L_max
-                  if (fr < 0 || !(lab(u) == fr && lab(v) == fr))
-                    UnionFind.union(cx, ufOpt, u, v)
-                } else if (filt) {
-                  arr(keep) = e; warr(keep) = x; keep += 1
-                }
-                if (!filt) keep = j + 1
-                j += 1
+          val labels = if (variant == NFS) new Array[Int](g.n) else null
+          var freq = -1 // NF-S: the bucket's largest component, from task 0
+          val filt = variant == F
+          Par.gang(spark, ctx.id) { t =>
+            var b = 0
+            while (b < nBuckets) {
+              val loW = wmin * math.pow(1 + eps, b) - (if (b == 0) 1e-12 else 0)
+              val hiW = upper(b)
+              if (variant == NFS) {
+                val (lo, hi) = t.range(g.n)
+                ctx.resolveRange(labels, lo, hi)
+                t.sync()
+                t.single { freq = repro.core.ConnectIt.identifyFrequent(labels) }
               }
-              if (filt) al(i) = keep
+              val fr = freq
+              t.forDynamic(store.length, 1) { (lo, hi) =>
+                var c = lo
+                while (c < hi) {
+                  val arr = store(c); val warr = wstore(c)
+                  val lim = alive(c)
+                  var j = 0
+                  var keep = 0
+                  while (j < lim) {
+                    val e = arr(j); val x = warr(j)
+                    if (x >= loW && x < hiW) {
+                      // NF-S: skip only edges internal to L_max
+                      if (fr < 0 || !(labels((e >>> 32).toInt) == fr && labels((e & 0xffffffffL).toInt) == fr))
+                        union(e)
+                    } else if (filt) {
+                      arr(keep) = e; warr(keep) = x; keep += 1
+                    }
+                    j += 1
+                  }
+                  if (filt) alive(c) = keep
+                  c += 1
+                }
+              }
+              b += 1
             }
-            if (variant == NFS) ctx.aux.remove("amsf-labels")
-            b += 1
           }
-          ctx.aux.remove("amsf-store"); ctx.aux.remove("amsf-w"); ctx.aux.remove("amsf-alive")
       }
 
       val (wsum, cnt) = forestWeight(g, w, ctx)
@@ -180,65 +172,62 @@ object Amsf {
     (sum, cnt)
   }
 
-  /** Exact MSF via parallel Borůvka (the GBBS-MSF stand-in): each round,
-    * every component writeMins its lightest incident edge, then all
-    * selected edges are unioned.
+  /** Exact MSF via parallel Borůvka (the GBBS-MSF stand-in), one gang
+    * job: each round, every component writeMins its lightest incident
+    * edge, then all selected edges are unioned. Ranks are unique, so the
+    * selected edges form a forest and every union order links the same
+    * ones.
     */
   def boruvka(spark: SparkSession, g: HostGraph, w: Array[Array[Double]]): Result = {
     val t0 = System.nanoTime()
     val ctx = RunCtx.create(g.n)
     ctx.ensureForest()
     try {
-      val (es, ws) = flatSorted(g, w)
-      // rank == position in the weight-sorted order; pack (rank, idx)
+      val (es, _) = flatSorted(g, w)
+      // per component root: the lowest rank (position in the weight-sorted
+      // order) of an edge leaving it
       val minEdge = new AtomicLongArray(g.n)
-      ctx.aux.put("bv-es", es)
-      ctx.aux.put("bv-min", minEdge)
-      val cid = ctx.id
-      val nChunks = math.max(1, g.chunks.length)
-      var changed = true
-      while (changed) {
-        var i0 = 0
-        while (i0 < g.n) { minEdge.set(i0, Long.MaxValue); i0 += 1 }
-        Par.maybeJobs(spark, es.length.toLong, nChunks) { i =>
-          val cx = RunCtx.lookup(cid)
-          val arr = cx.aux.get("bv-es").asInstanceOf[Array[Long]]
-          val me = cx.aux.get("bv-min").asInstanceOf[AtomicLongArray]
-          val (lo, hi) = Par.range(arr.length, nChunks, i)
-          @inline def root(x0: Int): Int = {
-            var x = x0; var p = cx.parents.get(x)
-            while (p != x) { x = p; p = cx.parents.get(x) }
-            x
-          }
-          @inline def wmin(idx: Int, v: Long): Unit = {
-            var cur = me.get(idx)
-            while (v < cur && !me.compareAndSet(idx, cur, v)) cur = me.get(idx)
-          }
-          var j = lo
-          while (j < hi) {
-            val e = arr(j)
+      val progress = new Par.Progress
+      Par.gang(spark, ctx.id) { t =>
+        val p = ctx.parents
+        @inline def root(x0: Int): Int = {
+          var x = x0; var px = p.get(x)
+          while (px != x) { x = px; px = p.get(x) }
+          x
+        }
+        @inline def wmin(idx: Int, v: Long): Unit = {
+          var cur = minEdge.get(idx)
+          while (v < cur && !minEdge.compareAndSet(idx, cur, v)) cur = minEdge.get(idx)
+        }
+        val (vlo, vhi) = t.range(g.n)
+        val (elo, ehi) = t.range(es.length)
+        var round = 0
+        do {
+          var v = vlo
+          while (v < vhi) { minEdge.set(v, Long.MaxValue); v += 1 }
+          t.sync()
+          var j = elo
+          while (j < ehi) {
+            val e = es(j)
             val ru = root((e >>> 32).toInt); val rv = root((e & 0xffffffffL).toInt)
-            if (ru != rv) {
-              val packed = (j.toLong << 1) // rank IS the index in sorted order
-              wmin(ru, packed); wmin(rv, packed)
-            }
+            if (ru != rv) { wmin(ru, j.toLong); wmin(rv, j.toLong) }
             j += 1
           }
-        }
-        changed = false
-        var v = 0
-        while (v < g.n) {
-          val p = minEdge.get(v)
-          if (p != Long.MaxValue) {
-            val j = (p >>> 1).toInt
-            val e = es(j)
-            if (UnionFind.union(ctx, ufOpt, (e >>> 32).toInt, (e & 0xffffffffL).toInt))
-              changed = true
+          t.sync()
+          v = vlo
+          while (v < vhi) {
+            val sel = minEdge.get(v)
+            if (sel != Long.MaxValue) {
+              val e = es(sel.toInt)
+              if (UnionFind.union(ctx, ufOpt, (e >>> 32).toInt, (e & 0xffffffffL).toInt))
+                progress.mark(round)
+            }
+            v += 1
           }
-          v += 1
-        }
+          t.sync()
+          round += 1
+        } while (progress.changed(round - 1))
       }
-      ctx.aux.remove("bv-es"); ctx.aux.remove("bv-min")
       val (wsum, cnt) = forestWeight(g, w, ctx)
       Result(wsum, cnt, (System.nanoTime() - t0) / 1e9)
     } finally ctx.unregister()

@@ -3,7 +3,7 @@ package repro.apps
 import org.apache.spark.sql.SparkSession
 import repro.core.{Par, RunCtx}
 import repro.core.Options._
-import repro.core.uf.{AtomicOps, UnionFind}
+import repro.core.uf.UnionFind
 import repro.graph.HostGraph
 
 /** Index-based SCAN clustering (Section 5.2, GS*-Index / GS*-Query).
@@ -23,44 +23,39 @@ object Scan {
   final case class Index(sim: Array[Double])
 
   /** Build the similarity index with a parallel merge-intersection over
-    * the sorted CSR adjacency (the GS*-Index construction step).
+    * the sorted CSR adjacency (the GS*-Index construction step), in one
+    * gang job.
     */
   def buildIndex(spark: SparkSession, g: HostGraph): Index = {
     val sim = new Array[Double](g.targets.length)
-    val gid = g.id
-    repro.graph.SharedState.put(s"scan-sim:${g.id}", sim)
-    val nChunks = Par.defaultChunks(spark)
-    Par.maybeJobs(spark, g.targets.length.toLong, nChunks) { i =>
-      val gr = HostGraph.lookup(gid)
-      val sm = repro.graph.SharedState.get[Array[Double]](s"scan-sim:$gid")
-      val (lo, hi) = Par.range(gr.n, nChunks, i)
-      var u = lo
-      while (u < hi) {
-        val du = gr.degree(u)
-        val uo = gr.offsets(u)
-        var s = uo
-        val ue = gr.offsets(u + 1)
-        while (s < ue) {
-          val v = gr.targets(s)
-          // merge-intersect adjacency lists of u and v (both sorted)
-          var a = uo; var b = gr.offsets(v)
-          val ae = ue; val be = gr.offsets(v + 1)
-          var common = 0
-          while (a < ae && b < be) {
-            val x = gr.targets(a); val y = gr.targets(b)
-            if (x == y) { common += 1; a += 1; b += 1 }
-            else if (x < y) a += 1
-            else b += 1
+    Par.gang(spark, s"scan-index:${g.id}") { t =>
+      t.forDynamic(g.n) { (lo, hi) =>
+        var u = lo
+        while (u < hi) {
+          val du = g.degree(u)
+          val uo = g.offsets(u)
+          val ue = g.offsets(u + 1)
+          var s = uo
+          while (s < ue) {
+            val v = g.targets(s)
+            // merge-intersect adjacency lists of u and v (both sorted)
+            var a = uo; var b = g.offsets(v)
+            val be = g.offsets(v + 1)
+            var common = 0
+            while (a < ue && b < be) {
+              val x = g.targets(a); val y = g.targets(b)
+              if (x == y) { common += 1; a += 1; b += 1 }
+              else if (x < y) a += 1
+              else b += 1
+            }
+            // closed neighbourhoods: u and v are in each other's N[]
+            sim(s) = (common + 2).toDouble / math.sqrt((du + 1).toDouble * (g.degree(v) + 1))
+            s += 1
           }
-          val dv = gr.degree(v)
-          // closed neighbourhoods: u and v are in each other's N[]
-          sm(s) = (common + 2).toDouble / math.sqrt((du + 1).toDouble * (dv + 1))
-          s += 1
+          u += 1
         }
-        u += 1
       }
     }
-    repro.graph.SharedState.remove(s"scan-sim:${g.id}")
     Index(sim)
   }
 
@@ -112,59 +107,56 @@ object Scan {
       }
       u += 1
     }
-    attachBorders(g, idx, eps, core, labels)
+    attachBorders(g, idx, eps, core, labels, 0, g.n)
     labels
   }
 
-  /** ConnectIt-parallelized GS*-Query: cluster cores with a concurrent
-    * union-find driven by Spark tasks.
+  /** ConnectIt-parallelized GS*-Query in one gang job: cluster cores
+    * with a concurrent union-find, resolve their labels, then attach the
+    * borders.
     */
   def queryPar(spark: SparkSession, g: HostGraph, idx: Index,
                eps: Double, mu: Int): Array[Int] = {
     val core = cores(g, idx, eps, mu)
     val ctx = RunCtx.create(g.n)
     try {
-      val gid = g.id
-      val cid = ctx.id
-      repro.graph.SharedState.put(s"scan-q:$cid", (idx.sim, core))
-      val nChunks = Par.defaultChunks(spark)
       val opt = UnionFindOpt(UfRemCas, FindNaive, SplitAtomicOne)
-      Par.maybeJobs(spark, g.targets.length.toLong, nChunks) { i =>
-        val gr = HostGraph.lookup(gid)
-        val cx = RunCtx.lookup(cid)
-        val (sm, co) = repro.graph.SharedState.get[(Array[Double], Array[Boolean])](s"scan-q:$cid")
-        val (lo, hi) = Par.range(gr.n, nChunks, i)
-        var u = lo
-        while (u < hi) {
-          if (co(u)) {
-            var s = gr.offsets(u)
-            val e = gr.offsets(u + 1)
-            while (s < e) {
-              val w = gr.targets(s)
-              if (sm(s) >= eps && co(w)) UnionFind.union(cx, opt, u, w)
-              s += 1
+      val labels = new Array[Int](g.n)
+      Par.gang(spark, ctx.id) { t =>
+        t.forDynamic(g.n) { (lo, hi) =>
+          var u = lo
+          while (u < hi) {
+            if (core(u)) {
+              var s = g.offsets(u)
+              val e = g.offsets(u + 1)
+              while (s < e) {
+                val w = g.targets(s)
+                if (idx.sim(s) >= eps && core(w)) UnionFind.union(ctx, opt, u, w)
+                s += 1
+              }
             }
+            u += 1
           }
-          u += 1
         }
+        val (lo, hi) = t.range(g.n)
+        ctx.resolveRange(labels, lo, hi)
+        var v = lo
+        while (v < hi) { if (!core(v)) labels(v) = -1; v += 1 }
+        t.sync()
+        attachBorders(g, idx, eps, core, labels, lo, hi)
       }
-      repro.graph.SharedState.remove(s"scan-q:$cid")
-      val resolved = ctx.resolveLabels()
-      val labels = Array.fill(g.n)(-1)
-      var v = 0
-      while (v < g.n) { if (core(v)) labels(v) = resolved(v); v += 1 }
-      attachBorders(g, idx, eps, core, labels)
       labels
     } finally ctx.unregister()
   }
 
-  /** Attach non-core vertices to the minimum adjacent eps-similar core
-    * cluster (deterministic border rule so seq and par agree).
+  /** Attach the non-core vertices of [lo, hi) to the minimum adjacent
+    * eps-similar core cluster (deterministic border rule so seq and par
+    * agree). Reads only core labels, so disjoint ranges run in parallel.
     */
   private def attachBorders(g: HostGraph, idx: Index, eps: Double,
-                            core: Array[Boolean], labels: Array[Int]): Unit = {
-    var v = 0
-    while (v < g.n) {
+                            core: Array[Boolean], labels: Array[Int], lo: Int, hi: Int): Unit = {
+    var v = lo
+    while (v < hi) {
       if (!core(v)) {
         var best = -1
         var s = g.offsets(v)

@@ -33,14 +33,11 @@ object ConnectIt {
 
   /** Algorithm 1/2. `wantForest` requires a root-based finish method.
     *
-    * With a union-find finish the whole run is one gang job
-    * ([[Par.gang]]): sampling, normalization, frequent label, finish and
-    * label resolution are rounds of it. Task 0 times the phases at the
-    * barriers that start the run, end sampling (after the frequent label)
-    * and end the finish; job launch and label resolution fall outside
-    * `totalSec`.
-    * The min-based finishes run sampling as one gang job and their own
-    * rounds as jobs; their phases are timed on the driver.
+    * The whole run is one gang job ([[Par.gang]]): sampling,
+    * normalization, frequent label, finish and label resolution are
+    * rounds of it. Task 0 times the phases at the barriers that start the
+    * run, end sampling (after the frequent label) and end the finish; job
+    * launch and label resolution fall outside `totalSec`.
     */
   def connectivity(spark: SparkSession, g: HostGraph,
                    sampling: SamplingOpt, finish: FinishOpt,
@@ -63,23 +60,40 @@ object ConnectIt {
       ctx.instrument = instrument
       if (wantForest) ctx.ensureForest()
       val phase1 = if (sampling == NoSampling) None else Some(new SamplePhase(g, ctx, sampling))
+      // (task, frequentid) => finish rounds, ending in a barrier
+      val finishStep: (Par.Task, Int) => Unit = finish match {
+        case u: UnionFindOpt =>
+          ctx.prepare(u, g.n.toLong * 7919)
+          unionFindFinish(_, g, ctx, u, _)
+        case other => MinBased.finish(g, ctx, other, wantForest)
+      }
       val clock = new Array[Long](3) // start, end of sampling, end of finish
-      def minBased(run: Int => Unit) = minBasedRun(spark, ctx, phase1, clock)(run)
-      val (labels, nComp) = finish match {
-        case u: UnionFindOpt => unionFindRun(spark, g, ctx, u, phase1, clock)
-        case lt: LiuTarjanOpt =>
-          minBased(MinBased.runLiuTarjan(spark, g, ctx, lt, _, wantForest))
-        case StergiouOpt => minBased(MinBased.runStergiou(spark, g, ctx, _))
-        case ShiloachVishkinOpt =>
-          minBased(MinBased.runShiloachVishkin(spark, g, ctx, _, wantForest))
-        case LabelPropOpt => minBased(MinBased.runLabelProp(spark, g, ctx, _))
+      val labels = new Array[Int](g.n)
+      val roots = new java.util.concurrent.atomic.AtomicInteger(0)
+      Par.gang(spark, ctx.id) { t =>
+        // stamped before the first barrier, so no task has claimed work yet
+        t.single { clock(0) = System.nanoTime() }
+        phase1.foreach(_(t))
+        if (t.index == 0) clock(1) = System.nanoTime()
+        val frequentid = phase1.fold(-1)(_.frequent.result)
+        finishStep(t, frequentid)
+        if (t.index == 0) clock(2) = System.nanoTime()
+        // a vertex is its own label iff it is a root (the frequent
+        // component's sentinel resolves to frequentid, one of its
+        // members), so the roots count the components
+        val (lo, hi) = t.range(g.n)
+        ctx.resolveRange(labels, lo, hi, sentinelRoot = frequentid)
+        var r = 0
+        var v = lo
+        while (v < hi) { if (labels(v) == v) r += 1; v += 1 }
+        roots.addAndGet(r)
       }
       val frequentid = phase1.fold(-1)(_.frequent.result)
       val (cov, ic) =
         if (sampleStats && sampling != NoSampling) samplingQuality(spark, g, ctx, frequentid)
         else (0.0, 0.0)
       CCResult(
-        labels, nComp, frequentid,
+        labels, roots.get(), frequentid,
         sampleSec = (clock(1) - clock(0)) / 1e9,
         finishSec = (clock(2) - clock(1)) / 1e9,
         totalSec = (clock(2) - clock(0)) / 1e9,
@@ -89,52 +103,6 @@ object ConnectIt {
         maxPathLength = ctx.maxPathLength.get(),
       )
     } finally ctx.unregister()
-  }
-
-  /** A union-find run as one gang job; returns (labels, #components) and
-    * fills `clock` from task 0.
-    */
-  private def unionFindRun(spark: SparkSession, g: HostGraph, ctx: RunCtx,
-                           u: UnionFindOpt, phase1: Option[SamplePhase],
-                           clock: Array[Long]): (Array[Int], Int) = {
-    if (u.alg == UfHooks) ctx.ensureHooks()
-    if (u.alg == UfRemLock) ctx.ensureLocks()
-    if (u.alg == UfJtb) ctx.ensurePrio(g.n.toLong * 7919)
-    val labels = new Array[Int](g.n)
-    val roots = new java.util.concurrent.atomic.AtomicInteger(0)
-    Par.gang(spark, ctx.id) { t =>
-      // stamped before the first barrier, so no task has claimed work yet
-      t.single { clock(0) = System.nanoTime() }
-      phase1.foreach(_(t))
-      if (t.index == 0) clock(1) = System.nanoTime()
-      unionFindFinish(t, g, ctx, u, phase1.fold(-1)(_.frequent.result))
-      if (t.index == 0) clock(2) = System.nanoTime()
-      // a vertex is its own label iff it is a root, so the roots count
-      // the components
-      val (lo, hi) = t.range(g.n)
-      ctx.resolveRange(labels, lo, hi)
-      var r = 0
-      var v = lo
-      while (v < hi) { if (labels(v) == v) r += 1; v += 1 }
-      roots.addAndGet(r)
-    }
-    (labels, roots.get())
-  }
-
-  /** A min-based run: sampling as one gang job, then `finish(frequentid)`
-    * with its own per-round jobs, timed on the driver; returns (labels,
-    * #components).
-    */
-  private def minBasedRun(spark: SparkSession, ctx: RunCtx, phase1: Option[SamplePhase],
-                          clock: Array[Long])(finish: Int => Unit): (Array[Int], Int) = {
-    clock(0) = System.nanoTime()
-    phase1.foreach(p => Par.gang(spark, ctx.id)(p))
-    clock(1) = System.nanoTime()
-    val frequentid = phase1.fold(-1)(_.frequent.result)
-    finish(frequentid)
-    clock(2) = System.nanoTime()
-    val labels = ctx.resolveLabels(sentinelRoot = frequentid)
-    (labels, repro.graph.Reference.numComponents(labels))
   }
 
   /** Spanning forest (Algorithm 2): connectivity with forest recording. */

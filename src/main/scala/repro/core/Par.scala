@@ -7,46 +7,28 @@ import repro.graph.SharedState
 
 /** Spark-side parallel execution: the substrate for all kernels.
   *
-  * Two ways to run a parallel step:
-  *  - [[gang]] runs a whole multi-round computation as ONE Spark job in
-  *    barrier execution mode: P tasks (P = the task slots of the local
-  *    master) start together and stay alive for the run; the paper's
-  *    fork-join barrier between rounds is a `java.util.concurrent.Phaser`
-  *    shared by the tasks, costing tens of microseconds instead of a job
-  *    launch. Every union-find ConnectIt run (sampling, normalization,
-  *    frequent label, finish, label resolution) is one gang job.
-  *    Spark's own `BarrierTaskContext.barrier()` is not used for rounds:
-  *    it is an RPC round trip through the driver's barrier coordinator,
-  *    about a second per call, so it is slower than a job launch.
-  *  - [[jobs]] / [[maybeJobs]] run one Spark job per round (or inline on
-  *    the driver below [[GrainSize]]). The min-based finishes, streaming
-  *    batches, AMSF and SCAN still use them: their rounds are many and
-  *    tiny, so a gang's per-round barrier would cost as much as the work.
-  *
-  * A [[gang]] body is registered in [[SharedState]] and never serialized,
-  * so it may capture the run's shared objects directly. Closures passed
-  * to [[jobs]] are serialized and must capture only small values (ids,
-  * options); they reach shared arrays through [[SharedState]]. Both are
-  * valid only in local mode, which [[gang]] checks.
+  * Every kernel runs through [[gang]]: a whole multi-round computation is
+  * ONE barrier-mode Spark job whose P tasks (P = the task slots of the
+  * local master) start together and stay alive for the run. The paper's
+  * fork-join barrier between rounds is a `java.util.concurrent.Phaser`
+  * shared by the tasks, costing tens of microseconds instead of a job
+  * launch; Spark's own `BarrierTaskContext.barrier()` is an RPC round
+  * trip through the driver, about a second per call, so it is not used.
+  * Below [[GrainSize]] of work the body runs on the calling thread as a
+  * gang of one. A gang body is registered in [[SharedState]] and never
+  * serialized, so it captures the run's shared objects directly; this is
+  * valid only in local mode, which [[gang]] checks. [[jobs]] (serialized
+  * chunk closures) serves only the Table 8 edge-map baselines.
   */
 object Par {
-  /** Below this estimated work a "round" runs inline on the driver
-    * thread instead of paying a Spark job launch — the same granularity
-    * control any parallel-for runtime applies (a tiny BFS frontier is not
-    * worth a fork-join). Semantics are identical. Inside a [[gang]], a
-    * BFS level below it runs on task 0 instead of being split.
+  /** Granularity control: below this estimated work a [[gang]] runs on
+    * the calling thread, and inside a gang a BFS level or Label-Propagation
+    * round runs on task 0 instead of being split.
     */
   val GrainSize: Long = 65536L
 
   def jobs(spark: SparkSession, nChunks: Int)(f: Int => Unit): Unit =
     spark.sparkContext.parallelize(0 until nChunks, nChunks).foreach(f)
-
-  /** Run chunks as a Spark job if `work` is above the grain size, else
-    * inline sequentially on the driver.
-    */
-  def maybeJobs(spark: SparkSession, work: Long, nChunks: Int)(f: Int => Unit): Unit =
-    if (work >= GrainSize) jobs(spark, nChunks)(f)
-    else { var i = 0; while (i < nChunks) { f(i); i += 1 } }
 
   /** Default kernel fan-out: 2 tasks per core. */
   def defaultChunks(spark: SparkSession): Int =
@@ -97,9 +79,12 @@ object Par {
     * slots, so every task of the gang can start at once. The tasks
     * synchronize through [[Task.sync]]. If a task throws, its peers stop
     * at their next barrier and this call throws the original exception.
-    * `run` names the run in errors.
+    * `run` names the run in errors. If `work` is below [[GrainSize]] the
+    * body runs on the calling thread as a gang of one, whose barriers
+    * return at once.
     */
-  def gang(spark: SparkSession, run: String)(body: Task => Unit): Unit = {
+  def gang(spark: SparkSession, run: String, work: Long = Long.MaxValue)(body: Task => Unit): Unit = {
+    if (work < GrainSize) { new Gang(run, 1, body).runTask(0); return }
     val size = taskSlots(spark)
     val key = s"gang:$run#${gangCounter.incrementAndGet()}"
     val g = new Gang(key, size, body)
@@ -113,6 +98,19 @@ object Par {
         g.abort()
         throw Option(g.failure.get).getOrElse(e)
     } finally SharedState.remove(key)
+  }
+
+  /** Whether a round of a gang loop changed anything. A task that makes a
+    * change in round r calls `mark(r)`; after the barrier that closes
+    * round r every task asks `changed(r)`. Nothing is ever reset, so no
+    * reset can race a slow reader: a mark of round r + 1 exists only once
+    * some task has seen round r change, so every task gets the same
+    * answer. One instance serves one loop.
+    */
+  final class Progress {
+    private val last = new AtomicInteger(-1)
+    def mark(round: Int): Unit = if (last.get() < round) last.set(round)
+    def changed(round: Int): Boolean = last.get() >= round
   }
 
   /** Thrown at a barrier when a peer has failed; the peer's exception is

@@ -1,12 +1,14 @@
 package repro.core
 
-import java.util.concurrent.atomic.{AtomicBoolean, AtomicInteger, AtomicIntegerArray, AtomicLong, AtomicLongArray, LongAdder}
+import java.util.concurrent.atomic.{AtomicInteger, AtomicIntegerArray, AtomicLong, AtomicLongArray, LongAdder}
+import repro.core.Options._
 import repro.graph.SharedState
 
 /** Mutable shared state of one connectivity run (the paper's shared
   * memory): the parents array plus the auxiliary structures individual
-  * algorithms need. Registered in [[SharedState]] by `id`; Spark task
-  * closures carry only the id.
+  * algorithms need. Gang bodies capture it directly; it is registered in
+  * [[SharedState]] by `id` so that a run that is not unregistered shows
+  * up as a leak.
   */
 final class RunCtx(val id: String, val n: Int) {
   /** Parents / connectivity labeling (Section 2). -1 is the sentinel
@@ -30,15 +32,6 @@ final class RunCtx(val id: String, val n: Int) {
   /** Spanning-forest edge per tree root (Alg 2); -1 = empty slot. */
   @volatile var forest: AtomicLongArray = _
 
-  /** Per-round change flag for round-synchronous algorithms. */
-  val changed = new AtomicBoolean(false)
-
-  /** Auxiliary per-algorithm shared structures (frontiers, edge stores,
-    * scratch arrays) keyed by a small name; reached by kernels through
-    * the ctx, never through closures.
-    */
-  val aux = new java.util.concurrent.ConcurrentHashMap[String, AnyRef]()
-
   // -------- instrumentation (Section 4.1.1: TPL / MPL analysis) --------
   @volatile var instrument: Boolean = false
   val totalPathLength = new LongAdder
@@ -50,26 +43,23 @@ final class RunCtx(val id: String, val n: Int) {
     while (len > cur && !maxPathLength.compareAndSet(cur, len)) cur = maxPathLength.get()
   }
 
-  def ensureHooks(): Unit = if (hooks == null) synchronized {
-    if (hooks == null) {
+  /** Allocate what the union-find finish `u` needs: hooks for UF-Hooks,
+    * lock words for UF-Rem-Lock, and for UF-JTB a random priority
+    * permutation drawn from `seed`.
+    */
+  def prepare(u: UnionFindOpt, seed: Long): Unit = u.alg match {
+    case UfHooks =>
       val h = new AtomicIntegerArray(n)
       var i = 0; while (i < n) { h.set(i, -1); i += 1 }
       hooks = h
-    }
-  }
-
-  def ensureLocks(): Unit = if (locks == null) synchronized {
-    if (locks == null) locks = new AtomicIntegerArray(n)
-  }
-
-  def ensurePrio(seed: Long): Unit = if (prio == null) synchronized {
-    if (prio == null) {
+    case UfRemLock => locks = new AtomicIntegerArray(n)
+    case UfJtb =>
       val r = new java.util.Random(seed)
       val p = Array.tabulate(n)(identity)
       var i = n - 1
       while (i > 0) { val j = r.nextInt(i + 1); val t = p(i); p(i) = p(j); p(j) = t; i -= 1 }
       prio = p
-    }
+    case _ => ()
   }
 
   def ensurePrev(): Unit = if (prev == null) synchronized {
@@ -82,12 +72,6 @@ final class RunCtx(val id: String, val n: Int) {
       var i = 0; while (i < n) { f.set(i, -1L); i += 1 }
       forest = f
     }
-  }
-
-  /** Copy current parents into `prev` (round snapshot). */
-  def snapshotPrev(): Unit = {
-    ensurePrev()
-    var i = 0; while (i < n) { prev(i) = parents.get(i); i += 1 }
   }
 
   /** Copy current parents into `sampled` (post-sampling snapshot). */
@@ -106,16 +90,16 @@ final class RunCtx(val id: String, val n: Int) {
     out
   }
 
-  /** Resolve every vertex to its tree root (sentinel -1 maps to
-    * `sentinelRoot` if >= 0). Used to emit the final labeling.
-    */
-  def resolveLabels(sentinelRoot: Int = -1): Array[Int] = {
+  /** Resolve every vertex to its tree root: the final labeling. */
+  def resolveLabels(): Array[Int] = {
     val out = new Array[Int](n)
-    resolveRange(out, 0, n, sentinelRoot)
+    resolveRange(out, 0, n)
     out
   }
 
-  /** [[resolveLabels]] for vertices [lo, hi), written into `out`. */
+  /** Tree roots of vertices [lo, hi), written into `out`; a vertex whose
+    * path ends at the sentinel -1 gets `sentinelRoot`.
+    */
   def resolveRange(out: Array[Int], lo: Int, hi: Int, sentinelRoot: Int = -1): Unit = {
     var i = lo
     while (i < hi) {
@@ -153,6 +137,4 @@ object RunCtx {
     SharedState.put(key(id), c)
     c
   }
-
-  def lookup(id: String): RunCtx = SharedState.get[RunCtx](key(id))
 }

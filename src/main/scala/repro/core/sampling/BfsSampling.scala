@@ -6,9 +6,7 @@ import repro.core.{Par, RunCtx}
 import repro.graph.{GraphGen, HostGraph}
 
 /** Shared frontier state for level-synchronous traversals (BFS, LDD,
-  * Label-Propagation). Gang kernels hold it directly; Label-Propagation's
-  * per-round jobs reach it through its RunCtx's aux map, never through
-  * closures.
+  * Label-Propagation), held by value by the gang kernel that owns it.
   */
 final class Frontier(val n: Int) {
   var cur: Array[Int] = new Array[Int](0)
@@ -34,6 +32,17 @@ final class Frontier(val n: Int) {
   private def cur2(sz: Int): Array[Int] = {
     if (cur.length < sz) cur = new Array[Int](math.max(sz, 16))
     cur
+  }
+
+  /** Work of a top-down step over `cur`: its edges in `g`, estimated from
+    * a strided sample of degrees, plus its size.
+    */
+  def work(g: HostGraph): Long = {
+    var s = 0L
+    val step = math.max(1, size / 16)
+    var i = 0
+    while (i < size) { s += g.degree(cur(i)); i += step }
+    s * step + size
   }
 }
 
@@ -134,20 +143,11 @@ object BfsSampling {
       */
     private def smallLevels(src: Int): Int = {
       var sum = 0
-      while (f.size > 0 && f.size <= g.n / 20 && estimateWork() < Par.GrainSize) {
+      while (f.size > 0 && f.size <= g.n / 20 && f.work(g) < Par.GrainSize) {
         topDown(src, 0, f.size)
         sum += f.advance()
       }
       sum
-    }
-
-    /** Frontier edges, estimated from a strided sample of degrees. */
-    private def estimateWork(): Long = {
-      var s = 0L
-      val step = math.max(1, f.size / 16)
-      var i = 0
-      while (i < f.size) { s += g.degree(f.cur(i)); i += step }
-      s * step + f.size
     }
 
     /** Top-down over frontier slots [lo, hi): claim unvisited neighbours. */

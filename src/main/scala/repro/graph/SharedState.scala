@@ -7,10 +7,14 @@ import java.util.concurrent.ConcurrentHashMap
   * ConnectIt is a multicore shared-memory framework: its threads CAS on
   * shared parent arrays. We run on Spark in `local[*]` mode, where every
   * task executes in the driver JVM, so Spark task threads can play the
-  * role of the paper's threads — provided the shared arrays are reachable
-  * without being captured (and thus copied) by task closures. This
-  * registry is that reach-around: kernels pass small string keys through
-  * closures and look the arrays up here on the task side.
+  * role of the paper's threads — provided the shared objects are
+  * reachable without being captured (and thus copied) by task closures.
+  * This registry is that reach-around: a gang run (`Par.gang`) registers
+  * its body under one key, and each task, whose closure carries only the
+  * key, fetches the body, which holds the run's arrays directly. Graphs
+  * and run contexts register too, so tests can check that a run leaves
+  * nothing behind; the plain `Par.jobs` closures of the Table 8
+  * baselines reach their graph through `HostGraph.lookup`.
   *
   * This is a deliberate, documented substitution (see DESIGN.md): it is
   * only valid in local mode, which is exactly the paper's setting (a

@@ -18,6 +18,9 @@ import repro.core.uf.UnionFind
   *    queries are answered.
   *  - Type 3: Rem's algorithms with SpliceAtomic — phase-concurrent: a
   *    barrier separates the update phase from the query phase.
+  *
+  * A batch is one gang run ([[Par.gang]]); below [[Par.GrainSize]] ops
+  * it runs on the calling thread as a gang of one.
   */
 final class Incremental(spark: SparkSession, n: Int, finish: FinishOpt) {
   require(finish match {
@@ -29,140 +32,72 @@ final class Incremental(spark: SparkSession, n: Int, finish: FinishOpt) {
 
   private val ctx = RunCtx.create(n)
   finish match {
-    case u: UnionFindOpt =>
-      if (u.alg == UfHooks) ctx.ensureHooks()
-      if (u.alg == UfRemLock) ctx.ensureLocks()
-      if (u.alg == UfJtb) ctx.ensurePrio(n.toLong * 104729)
+    case u: UnionFindOpt => ctx.prepare(u, n.toLong * 104729)
     case _ => ()
   }
 
-  private def isPhaseConcurrent(u: UnionFindOpt): Boolean =
-    u.splice == SpliceAtomic && (u.alg == UfRemCas || u.alg == UfRemLock)
+  /** The root of `x`'s tree: the algorithm's own find for union-find,
+    * else a walk up the parents (min-based labels have no sentinel here).
+    */
+  private val root: Int => Int = finish match {
+    case u: UnionFindOpt => UnionFind.find(ctx, u, _)
+    case _ => x0 => {
+      var x = x0; var p = ctx.parents.get(x)
+      while (p != x) { x = p; p = ctx.parents.get(x) }
+      x
+    }
+  }
 
   /** Process one batch of packed INSERT(u,v) edges and ISCONNECTED(u,v)
     * queries; returns one boolean per query.
     */
   def processBatch(updates: Array[Long], queries: Array[Long] = Array.empty): Array[Boolean] = {
     val results = new Array[Boolean](queries.length)
-    ctx.aux.put("st-upd", updates)
-    ctx.aux.put("st-qry", queries)
-    ctx.aux.put("st-res", results)
-    val cid = ctx.id
-    val nChunks = Par.defaultChunks(spark)
-    finish match {
-      case u: UnionFindOpt if !isPhaseConcurrent(u) =>
-        // Type 1: one job; each task applies its slice of updates AND
-        // answers its slice of queries — fully concurrent ops.
-        val work = updates.length.toLong + queries.length
-        Par.maybeJobs(spark, work, nChunks) { i =>
-          val cx = RunCtx.lookup(cid)
-          val upd = cx.aux.get("st-upd").asInstanceOf[Array[Long]]
-          val qry = cx.aux.get("st-qry").asInstanceOf[Array[Long]]
-          val res = cx.aux.get("st-res").asInstanceOf[Array[Boolean]]
-          val (ulo, uhi) = Par.range(upd.length, nChunks, i)
-          var j = ulo
-          while (j < uhi) {
-            val e = upd(j)
-            UnionFind.union(cx, u, (e >>> 32).toInt, (e & 0xffffffffL).toInt)
-            j += 1
-          }
-          val (qlo, qhi) = Par.range(qry.length, nChunks, i)
-          j = qlo
-          while (j < qhi) {
-            val q = qry(j)
-            res(j) = UnionFind.find(cx, u, (q >>> 32).toInt) ==
-                     UnionFind.find(cx, u, (q & 0xffffffffL).toInt)
-            j += 1
-          }
-        }
+    val apply: Par.Task => Unit = finish match {
       case u: UnionFindOpt =>
-        // Type 3: phase-concurrent — updates, barrier, queries.
-        Par.maybeJobs(spark, updates.length.toLong, nChunks) { i =>
-          val cx = RunCtx.lookup(cid)
-          val upd = cx.aux.get("st-upd").asInstanceOf[Array[Long]]
-          val (ulo, uhi) = Par.range(upd.length, nChunks, i)
-          var j = ulo
-          while (j < uhi) {
-            val e = upd(j)
-            UnionFind.union(cx, u, (e >>> 32).toInt, (e & 0xffffffffL).toInt)
+        // Type 1 answers this task's queries right after its updates,
+        // fully concurrently; Type 3 waits for every update first.
+        val phased = u.splice == SpliceAtomic && (u.alg == UfRemCas || u.alg == UfRemLock)
+        t => {
+          val (lo, hi) = t.range(updates.length)
+          var j = lo
+          while (j < hi) {
+            val e = updates(j)
+            UnionFind.union(ctx, u, (e >>> 32).toInt, (e & 0xffffffffL).toInt)
             j += 1
           }
+          if (phased) t.sync()
         }
-        answerQueriesByFind(u, queries.length, nChunks)
-      case ShiloachVishkinOpt =>
-        // Type 2: round-synchronous over the batch edges.
-        MinBased.runShiloachVishkinEdges(spark, ctx, chunked(updates, nChunks))
-        answerQueriesByResolve(queries.length, nChunks)
-      case lt: LiuTarjanOpt =>
-        MinBased.runLiuTarjanEdges(spark, ctx, chunked(updates, nChunks), lt)
-        answerQueriesByResolve(queries.length, nChunks)
-      case other => throw new IllegalStateException(other.name)
+      case other =>
+        // Type 2: the round-synchronous algorithm over the batch's edges
+        val kernel = MinBased.edgeKernel(ctx, other, forestMode = false)
+        val store = chunked(updates, Par.defaultChunks(spark))
+        kernel(_, store)
     }
-    ctx.aux.remove("st-upd"); ctx.aux.remove("st-qry"); ctx.aux.remove("st-res")
+    Par.gang(spark, ctx.id, work = updates.length.toLong + queries.length) { t =>
+      apply(t)
+      val (lo, hi) = t.range(queries.length)
+      var j = lo
+      while (j < hi) {
+        val q = queries(j)
+        results(j) = root((q >>> 32).toInt) == root((q & 0xffffffffL).toInt)
+        j += 1
+      }
+    }
     results
   }
 
-  private def chunked(updates: Array[Long], nChunks: Int): Array[Array[Long]] = {
-    val out = new Array[Array[Long]](nChunks)
-    var i = 0
-    while (i < nChunks) {
+  /** The batch in `nChunks` copied chunks (Alter variants mutate them). */
+  private def chunked(updates: Array[Long], nChunks: Int): Array[Array[Long]] =
+    Array.tabulate(nChunks) { i =>
       val (lo, hi) = Par.range(updates.length, nChunks, i)
-      out(i) = java.util.Arrays.copyOfRange(updates, lo, hi)
-      i += 1
+      java.util.Arrays.copyOfRange(updates, lo, hi)
     }
-    out
-  }
-
-  private def answerQueriesByFind(u: UnionFindOpt, nq: Int, nChunks: Int): Unit = {
-    val cid = ctx.id
-    Par.maybeJobs(spark, nq.toLong, nChunks) { i =>
-      val cx = RunCtx.lookup(cid)
-      val qry = cx.aux.get("st-qry").asInstanceOf[Array[Long]]
-      val res = cx.aux.get("st-res").asInstanceOf[Array[Boolean]]
-      val (qlo, qhi) = Par.range(qry.length, nChunks, i)
-      var j = qlo
-      while (j < qhi) {
-        val q = qry(j)
-        res(j) = UnionFind.find(cx, u, (q >>> 32).toInt) ==
-                 UnionFind.find(cx, u, (q & 0xffffffffL).toInt)
-        j += 1
-      }
-    }
-  }
-
-  private def answerQueriesByResolve(nq: Int, nChunks: Int): Unit = {
-    val cid = ctx.id
-    Par.maybeJobs(spark, nq.toLong, nChunks) { i =>
-      val cx = RunCtx.lookup(cid)
-      val qry = cx.aux.get("st-qry").asInstanceOf[Array[Long]]
-      val res = cx.aux.get("st-res").asInstanceOf[Array[Boolean]]
-      val (qlo, qhi) = Par.range(qry.length, nChunks, i)
-      @inline def root(x0: Int): Int = {
-        var x = x0; var p = cx.parents.get(x)
-        while (p >= 0 && p != x) { x = p; p = cx.parents.get(x) }
-        x
-      }
-      var j = qlo
-      while (j < qhi) {
-        val q = qry(j)
-        res(j) = root((q >>> 32).toInt) == root((q & 0xffffffffL).toInt)
-        j += 1
-      }
-    }
-  }
 
   /** Current connectivity labeling (resolved). */
   def labels: Array[Int] = ctx.resolveLabels()
 
-  def isConnected(u: Int, v: Int): Boolean = {
-    val l = finish match {
-      case uf: UnionFindOpt =>
-        UnionFind.find(ctx, uf, u) == UnionFind.find(ctx, uf, v)
-      case _ =>
-        val a = ctx.resolveLabels(); a(u) == a(v)
-    }
-    l
-  }
+  def isConnected(u: Int, v: Int): Boolean = root(u) == root(v)
 
   def close(): Unit = ctx.unregister()
 }

@@ -1,5 +1,8 @@
 package repro
 
+import java.util.concurrent.{ConcurrentHashMap, CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -16,6 +19,31 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Number of Spark jobs `f` launches, counted by a SparkListener. A
+    * sentinel job drains the asynchronous listener bus before counting.
+    */
+  def jobsOf(f: => Unit): Int = {
+    val started = new AtomicInteger(0)
+    val sentinelDone = new CountDownLatch(1)
+    val sentinelJobs = ConcurrentHashMap.newKeySet[Int]()
+    val l = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (Option(e.properties).exists(_.getProperty("repro.sentinel") != null)) sentinelJobs.add(e.jobId)
+        else started.incrementAndGet()
+      override def onJobEnd(e: SparkListenerJobEnd): Unit =
+        if (sentinelJobs.contains(e.jobId)) sentinelDone.countDown()
+    }
+    val sc = spark.sparkContext
+    sc.addSparkListener(l)
+    try {
+      f
+      sc.setLocalProperty("repro.sentinel", "1")
+      try sc.parallelize(Seq(1), 1).count() finally sc.setLocalProperty("repro.sentinel", null)
+      assert(sentinelDone.await(30, TimeUnit.SECONDS), "listener bus did not drain")
+      started.get()
+    } finally sc.removeSparkListener(l)
+  }
 }
 
 object SparkSpec {

@@ -48,6 +48,14 @@ class AmsfSpec extends SparkSpec {
     }
   }
 
+  test("one AMSF run of each variant and one Borůvka run are 1 Spark job each") {
+    val g = repro.TestGraphs.rmat(spark)
+    val w = Amsf.expWeights(g, seed = 5)
+    for (v <- Seq(Amsf.EA, Amsf.F, Amsf.NF, Amsf.NFS))
+      assert(jobsOf(Amsf.run(spark, g, w, eps, v)) == 1, v.name)
+    assert(jobsOf(Amsf.boruvka(spark, g, w)) == 1)
+  }
+
   test("weights are deterministic in seed") {
     val g = TestGraphs.rmat(spark)
     val a = Amsf.expWeights(g, 3); val b = Amsf.expWeights(g, 3)

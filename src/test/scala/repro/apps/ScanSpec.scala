@@ -31,6 +31,13 @@ class ScanSpec extends SparkSpec {
       s"clusterings differ on $gname (eps=$eps, mu=$mu)")
   }
 
+  test("building the index and one parallel query are 1 Spark job each") {
+    val g = TestGraphs.rmat(spark)
+    var idx: Scan.Index = null
+    assert(jobsOf { idx = Scan.buildIndex(spark, g) } == 1)
+    assert(jobsOf(Scan.queryPar(spark, g, idx, 0.3, 2)) == 1)
+  }
+
   test("a clique clusters as one cluster of cores") {
     val n = 8
     val edges = for { u <- 0 until n; v <- u + 1 until n } yield (u, v)

@@ -1,7 +1,5 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkListenerJobStart}
 import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.core.Options._
 import repro.graph.Reference
@@ -92,31 +90,6 @@ class ConnectItSpec extends SparkSpec {
     assert(res.interCompFrac >= 0.0 && res.interCompFrac <= 1.0)
   }
 
-  /** Number of Spark jobs `f` launches, counted by a SparkListener. A
-    * sentinel job drains the asynchronous listener bus before counting.
-    */
-  private def jobsOf(f: => Unit): Int = {
-    val started = new AtomicInteger(0)
-    val sentinelDone = new java.util.concurrent.CountDownLatch(1)
-    val sentinelJobs = java.util.concurrent.ConcurrentHashMap.newKeySet[Int]()
-    val l = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        if (Option(e.properties).exists(_.getProperty("repro.sentinel") != null)) sentinelJobs.add(e.jobId)
-        else started.incrementAndGet()
-      override def onJobEnd(e: SparkListenerJobEnd): Unit =
-        if (sentinelJobs.contains(e.jobId)) sentinelDone.countDown()
-    }
-    val sc = spark.sparkContext
-    sc.addSparkListener(l)
-    try {
-      f
-      sc.setLocalProperty("repro.sentinel", "1")
-      try sc.parallelize(Seq(1), 1).count() finally sc.setLocalProperty("repro.sentinel", null)
-      assert(sentinelDone.await(30, java.util.concurrent.TimeUnit.SECONDS), "listener bus did not drain")
-      started.get()
-    } finally sc.removeSparkListener(l)
-  }
-
   val gangSamplings: Seq[SamplingOpt] = Seq(
     NoSampling,
     KOutSampling(2, KOutAfforest), KOutSampling(2, KOutPure),
@@ -130,6 +103,20 @@ class ConnectItSpec extends SparkSpec {
     assert(jobs == 1)
     assert(Reference.samePartition(res.labels, ref))
   }
+
+  val minBasedFinishes: Seq[FinishOpt] = Seq(
+    LiuTarjanOpt(Connect, rootUp = true, fullShortcut = true, alter = true), // CRFA
+    StergiouOpt, ShiloachVishkinOpt, LabelPropOpt)
+
+  for (s <- Seq(NoSampling, KOutSampling()); f <- minBasedFinishes)
+    test(s"${s.name} + ${f.name} runs as exactly 1 Spark job") {
+      val (_, g, ref) = TestGraphs.suite(spark).find(_._1 == "rmat").get
+      var res: ConnectIt.CCResult = null
+      val jobs = jobsOf { res = ConnectIt.connectivity(spark, g, s, f) }
+      assert(jobs == 1)
+      assert(Reference.samePartition(res.labels, ref))
+      assert(res.numComponents == Reference.numComponents(ref))
+    }
 
   for (s <- samplings)
     test(s"spanning forest with ${s.name} + UF-Rem-CAS runs as exactly 1 Spark job") {

@@ -75,6 +75,47 @@ class ParSpec extends SparkSpec {
     Par.gang(spark, "after-failure")(_.sync())
   }
 
+  test("a gang below GrainSize runs on the calling thread as a gang of one") {
+    val caller = Thread.currentThread()
+    var sizes = List.empty[Int]
+    val jobs = jobsOf {
+      Par.gang(spark, "inline", work = Par.GrainSize - 1) { t =>
+        assert(Thread.currentThread() eq caller)
+        t.sync(); t.single(sizes ::= t.size)
+      }
+    }
+    assert(jobs == 0 && sizes == List(1))
+    assert(jobsOf(Par.gang(spark, "ganged", work = Par.GrainSize)(_.sync())) == 1)
+  }
+
+  test("a failure thrown by every task keeps its message") {
+    for (work <- Seq(0L, Par.GrainSize)) {
+      val e = intercept[IllegalArgumentException] {
+        Par.gang(spark, "no-fixpoint", work) { t => t.sync(); require(false, "X did not converge") }
+      }
+      assert(e.getMessage.contains("X did not converge"))
+    }
+  }
+
+  test("progress flags agree on every task without a reset barrier") {
+    val rounds = 200
+    for (_ <- 0 until 10) {
+      val ran = new AtomicIntegerArray(Par.taskSlots(spark))
+      val progress = new Par.Progress
+      Par.gang(spark, "progress") { t =>
+        var r = 0
+        do {
+          // one task changes something in each of the first rounds
+          if (r < rounds && r % t.size == t.index) progress.mark(r)
+          t.sync()
+          r += 1
+        } while (progress.changed(r - 1))
+        ran.set(t.index, r)
+      }
+      assert((0 until ran.length).forall(ran.get(_) == rounds + 1))
+    }
+  }
+
   test("task slots come from a local master only") {
     assert(Par.taskSlots("local", 8, 1) == 1)
     assert(Par.taskSlots("local[3]", 8, 1) == 3)

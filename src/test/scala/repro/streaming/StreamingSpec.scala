@@ -1,6 +1,7 @@
 package repro.streaming
 
-import repro.{SparkSpec, TestGraphs}
+import repro.SparkSpec
+import repro.core.Par
 import repro.core.Options._
 import repro.graph.{GraphGen, Reference}
 
@@ -68,6 +69,47 @@ class StreamingSpec extends SparkSpec {
       }
     } finally inc.close()
   }
+
+  def cc(n: Int, edges: Array[Long]): Array[Int] =
+    Reference.cc(n, edges.iterator.map(e => ((e >>> 32).toInt, (e & 0xffffffffL).toInt)))
+
+  for ((name, alg) <- streamingAlgs
+       if Set("UF-Rem-CAS", "UF-Rem-CAS-splice", "SV", "LT-CRFA")(name))
+    test(s"$name: a batch of GrainSize ops is 1 Spark job and its answers hold") {
+      val n = 40000
+      val small = stream(n, 500, seed = 5)
+      val big = stream(n, 40000, seed = 6)
+      val queries = stream(n, 40000, seed = 7)
+      assert(big.length + queries.length >= Par.GrainSize)
+      val inc = new Incremental(spark, n, alg)
+      try {
+        assert(jobsOf(inc.processBatch(small)) == 0)
+        val pre = cc(n, small)
+        var res: Array[Boolean] = null
+        assert(jobsOf { res = inc.processBatch(big, queries) } == 1)
+        val post = cc(n, small ++ big)
+        assert(Reference.samePartition(inc.labels, post), s"$name diverged")
+        // a true must hold after the batch, a false before it
+        queries.zip(res).foreach { case (q, got) =>
+          val u = (q >>> 32).toInt; val v = (q & 0xffffffffL).toInt
+          if (got) assert(post(u) == post(v), s"$name: true ISCONNECTED($u,$v)")
+          else assert(pre(u) != pre(v), s"$name: false ISCONNECTED($u,$v)")
+        }
+        assert(res.contains(true) && res.contains(false))
+      } finally inc.close()
+    }
+
+  for ((name, alg) <- streamingAlgs if name == "SV" || name == "LT-CRFA")
+    test(s"$name: isConnected agrees with labels after a batch") {
+      val n = 400
+      val inc = new Incremental(spark, n, alg)
+      try {
+        inc.processBatch(stream(n, 300, seed = 17))
+        val l = inc.labels
+        for (u <- 0 until n by 7; v <- 0 until n by 11)
+          assert(inc.isConnected(u, v) == (l(u) == l(v)), s"$name: isConnected($u,$v)")
+      } finally inc.close()
+    }
 
   test("mixed updates and queries in one batch are consistent (type 1)") {
     val n = 300
