@@ -5,7 +5,7 @@ import org.apache.spark.sql.SparkSession
 import repro.core.{Par, RunCtx}
 import repro.core.Options._
 import repro.core.uf.UnionFind
-import repro.graph.{GraphGen, HostGraph}
+import repro.graph.{Edge, GraphGen, HostGraph}
 
 /** Approximate minimum spanning forest (Section 5.1).
   *
@@ -73,7 +73,7 @@ object Amsf {
       def upper(b: Int): Double =
         if (b == nBuckets - 1) Double.MaxValue else wmin * math.pow(1 + eps, b + 1)
       @inline def union(e: Long): Boolean =
-        UnionFind.union(ctx, ufOpt, (e >>> 32).toInt, (e & 0xffffffffL).toInt)
+        UnionFind.union(ctx, ufOpt, Edge.src(e), Edge.dst(e))
 
       variant match {
         case EA =>
@@ -131,7 +131,7 @@ object Amsf {
                     val e = arr(j); val x = warr(j)
                     if (x >= loW && x < hiW) {
                       // NF-S: skip only edges internal to L_max
-                      if (fr < 0 || !(labels((e >>> 32).toInt) == fr && labels((e & 0xffffffffL).toInt) == fr))
+                      if (fr < 0 || !(labels(Edge.src(e)) == fr && labels(Edge.dst(e)) == fr))
                         union(e)
                     } else if (filt) {
                       arr(keep) = e; warr(keep) = x; keep += 1
@@ -165,7 +165,7 @@ object Amsf {
     }
     var sum = 0.0; var cnt = 0
     ctx.forestEdges.foreach { case (u, v) =>
-      val key = (math.min(u, v).toLong << 32) | math.max(u, v).toLong
+      val key = Edge.pack(math.min(u, v), math.max(u, v))
       val x = map.get(key)
       if (x != null) { sum += x.doubleValue(); cnt += 1 }
     }
@@ -209,7 +209,7 @@ object Amsf {
           var j = elo
           while (j < ehi) {
             val e = es(j)
-            val ru = root((e >>> 32).toInt); val rv = root((e & 0xffffffffL).toInt)
+            val ru = root(Edge.src(e)); val rv = root(Edge.dst(e))
             if (ru != rv) { wmin(ru, j.toLong); wmin(rv, j.toLong) }
             j += 1
           }
@@ -219,7 +219,7 @@ object Amsf {
             val sel = minEdge.get(v)
             if (sel != Long.MaxValue) {
               val e = es(sel.toInt)
-              if (UnionFind.union(ctx, ufOpt, (e >>> 32).toInt, (e & 0xffffffffL).toInt))
+              if (UnionFind.union(ctx, ufOpt, Edge.src(e), Edge.dst(e)))
                 progress.mark(round)
             }
             v += 1

@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.core.{ConnectIt, Par, RunCtx}
 import repro.core.Options._
 import repro.core.sampling.BfsSampling
-import repro.graph.HostGraph
+import repro.graph.{Edge, HostGraph}
 
 /** The "Other Systems" comparators of Table 3, reimplemented inside this
   * repo (the paper likewise implemented BFSCC and WorkeffCC in its own
@@ -72,7 +72,7 @@ object Baselines {
         val cb = repIds.get(clusters(b)).intValue()
         if (ca != cb) {
           val lo = math.min(ca, cb); val hi = math.max(ca, cb)
-          quotient.add((lo.toLong << 32) | hi.toLong)
+          quotient.add(Edge.pack(lo, hi))
         }
       }
       if (quotient.isEmpty) clusters
@@ -81,7 +81,7 @@ object Baselines {
         val it = quotient.iterator(); var i = 0
         while (it.hasNext) {
           val p = it.next()
-          qEdges(i) = ((p >>> 32).toInt, (p & 0xffffffffL).toInt); i += 1
+          qEdges(i) = (Edge.src(p), Edge.dst(p)); i += 1
         }
         val qg = HostGraph.fromArray(spark, repIds.size(), qEdges)
         val sub = try workEffCC(spark, qg, beta, depth + 1) finally qg.unregister()

@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.core.{ConnectIt, Par, RunCtx}
 import repro.core.Options._
 import repro.baselines.Baselines
-import repro.graph.{HostGraph, Reference}
+import repro.graph.{Edge, HostGraph, Reference}
 import repro.streaming.{Incremental, StingerLike}
 
 /** Benchmark harnesses, one per evaluation table of the paper. Each
@@ -231,8 +231,8 @@ object Tables {
       val flat = g.chunks.foldLeft(Array.emptyLongArray)(_ ++ _)
       // remap into [0, n) and take totalEdges
       flat.take(totalEdges).map { e =>
-        val u = ((e >>> 32) % n).toInt; val v = ((e & 0xffffffffL) % n).toInt
-        (u.toLong << 32) | (v.toLong & 0xffffffffL)
+        val u = Edge.src(e) % n; val v = Edge.dst(e) % n
+        Edge.pack(u, v)
       }
     }
     val sizes = Seq(10, 100, 1000, 10_000, 100_000, 1_000_000, 2_000_000)

@@ -6,7 +6,7 @@ import repro.core.Options._
 import repro.core.minbased.MinBased
 import repro.core.{sampling => smp}
 import repro.core.uf.{AtomicOps, UnionFind}
-import repro.graph.HostGraph
+import repro.graph.{Edge, HostGraph}
 
 /** The ConnectIt framework: Algorithm 1 (connectivity) and Algorithm 2
   * (spanning forest) — compose any sampling method with any finish
@@ -279,7 +279,7 @@ object ConnectIt {
           var j = 0
           while (j < arr.length) {
             val e = arr(j)
-            UnionFind.union(ctx, opt, (e >>> 32).toInt, (e & 0xffffffffL).toInt)
+            UnionFind.union(ctx, opt, Edge.src(e), Edge.dst(e))
             j += 1
           }
           c += 1
@@ -316,7 +316,7 @@ object ConnectIt {
       var j = 0
       while (j < arr.length) {
         val e = arr(j)
-        if (s((e >>> 32).toInt) != s((e & 0xffffffffL).toInt)) inter += 1
+        if (s(Edge.src(e)) != s(Edge.dst(e))) inter += 1
         j += 1
       }
     }

@@ -2,6 +2,8 @@ package repro.core
 
 import java.util.concurrent.{Phaser, TimeUnit, TimeoutException}
 import java.util.concurrent.atomic.{AtomicInteger, AtomicLong, AtomicReference}
+import org.apache.spark.TaskContext
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import repro.graph.SharedState
 
@@ -17,8 +19,10 @@ import repro.graph.SharedState
   * Below [[GrainSize]] of work the body runs on the calling thread as a
   * gang of one. A gang body is registered in [[SharedState]] and never
   * serialized, so it captures the run's shared objects directly; this is
-  * valid only in local mode, which [[gang]] checks. [[jobs]] (serialized
-  * chunk closures) serves only the Table 8 edge-map baselines.
+  * valid only in local mode, which [[gang]] checks. [[eachPartition]]
+  * hands a registered body the rows of an existing RDD's partitions (the
+  * graph intake). [[jobs]] (serialized chunk closures) serves only the
+  * Table 8 edge-map baselines.
   */
 object Par {
   /** Granularity control: below this estimated work a [[gang]] runs on
@@ -97,6 +101,24 @@ object Par {
       case e: Throwable =>
         g.abort()
         throw Option(g.failure.get).getOrElse(e)
+    } finally SharedState.remove(key)
+  }
+
+  /** Run `f(partition, rows)` on every partition of `rdd` in one Spark
+    * job. Like a gang body, `f` is registered in [[SharedState]] and never
+    * serialized, so it can write its results straight into driver arrays.
+    * If a task throws, this call throws that task's exception.
+    */
+  def eachPartition[T](rdd: RDD[T], run: String)(f: (Int, Iterator[T]) => Unit): Unit = {
+    val key = s"part:$run#${gangCounter.incrementAndGet()}"
+    val failure = new AtomicReference[Throwable]()
+    val body: (Int, Iterator[T]) => Unit = (p, it) =>
+      try f(p, it) catch { case e: Throwable => failure.compareAndSet(null, e); throw e }
+    SharedState.put(key, body)
+    try rdd.foreachPartition { it =>
+      SharedState.get[(Int, Iterator[T]) => Unit](key)(TaskContext.getPartitionId(), it)
+    } catch {
+      case e: Throwable => throw Option(failure.get).getOrElse(e)
     } finally SharedState.remove(key)
   }
 

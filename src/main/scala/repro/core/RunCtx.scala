@@ -2,7 +2,7 @@ package repro.core
 
 import java.util.concurrent.atomic.{AtomicInteger, AtomicIntegerArray, AtomicLong, AtomicLongArray, LongAdder}
 import repro.core.Options._
-import repro.graph.SharedState
+import repro.graph.{Edge, SharedState}
 
 /** Mutable shared state of one connectivity run (the paper's shared
   * memory): the parents array plus the auxiliary structures individual
@@ -118,7 +118,7 @@ final class RunCtx(val id: String, val n: Int) {
     var i = 0
     while (i < n) {
       val p = forest.get(i)
-      if (p != -1L) buf += (((p >>> 32).toInt, (p & 0xffffffffL).toInt))
+      if (p != -1L) buf += ((Edge.src(p), Edge.dst(p)))
       i += 1
     }
     buf.toArray

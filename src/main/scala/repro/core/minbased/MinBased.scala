@@ -5,7 +5,7 @@ import repro.core.{Par, RunCtx}
 import repro.core.Options._
 import repro.core.sampling.Frontier
 import repro.core.uf.AtomicOps.writeMin
-import repro.graph.HostGraph
+import repro.graph.{Edge, HostGraph}
 
 /** The "other min-based" finish algorithms (Section 3.3.2):
   * the Liu-Tarjan framework (16 rule combinations), Stergiou's two-array
@@ -70,7 +70,7 @@ object MinBased {
                 store(c) =
                   if (frequentid < 0) arr.clone()
                   else arr.filter { e =>
-                    !(s((e >>> 32).toInt) == frequentid && s((e & 0xffffffffL).toInt) == frequentid)
+                    !(s(Edge.src(e)) == frequentid && s(Edge.dst(e)) == frequentid)
                   }
                 c += 1
               }
@@ -141,7 +141,7 @@ object MinBased {
             // hook-once at the root: one forest edge per tree merge
             if (p.compareAndSet(x, x, cand)) {
               val fo = ctx.forest
-              if (fo != null) fo.set(x, (eu.toLong << 32) | (ev.toLong & 0xffffffffL))
+              if (fo != null) fo.set(x, Edge.pack(eu, ev))
               progress.mark(r)
             }
           } else if (rootUp) {
@@ -155,7 +155,7 @@ object MinBased {
       while (j < arr.length) {
         val e = arr(j)
         if (e != -1L) {
-          val u = (e >>> 32).toInt; val v = (e & 0xffffffffL).toInt
+          val u = Edge.src(e); val v = Edge.dst(e)
           if (u < 0 && v < 0) { if (opt.alter) arr(j) = -1L }
           else {
             // an altered endpoint may be the -1 sentinel: it is then a
@@ -207,12 +207,12 @@ object MinBased {
       while (j < arr.length) {
         val e = arr(j)
         if (e != -1L) {
-          val u = (e >>> 32).toInt; val v = (e & 0xffffffffL).toInt
+          val u = Edge.src(e); val v = Edge.dst(e)
           val lu = if (u >= 0) p.get(u) else u
           val lv = if (v >= 0) p.get(v) else v
           if (lu == lv) arr(j) = -1L
           else {
-            val ne = (lu.toLong << 32) | (lv.toLong & 0xffffffffL)
+            val ne = Edge.pack(lu, lv)
             // a live edge whose endpoints moved can enable updates next
             // round (labels monotonically decrease, so this cannot loop
             // forever) — it counts as progress.
@@ -248,7 +248,7 @@ object MinBased {
             var j = 0
             while (j < arr.length) {
               val e = arr(j)
-              val u = (e >>> 32).toInt; val v = (e & 0xffffffffL).toInt
+              val u = Edge.src(e); val v = Edge.dst(e)
               val lu = prev(u); val lv = prev(v)
               if (lv < u && writeMin(p, u, lv)) progress.mark(r)
               if (lu < v && writeMin(p, v, lu)) progress.mark(r)
@@ -297,7 +297,7 @@ object MinBased {
             var j = 0
             while (j < arr.length) {
               val e = arr(j)
-              val u = (e >>> 32).toInt; val v = (e & 0xffffffffL).toInt
+              val u = Edge.src(e); val v = Edge.dst(e)
               val pu = p.get(u); val pv = p.get(v)
               if (pu != pv) {
                 val l = math.min(pu, pv); val h = math.max(pu, pv)
@@ -305,7 +305,7 @@ object MinBased {
                   if (forestMode) {
                     if (p.compareAndSet(h, h, l)) {
                       val fo = ctx.forest
-                      if (fo != null) fo.set(h, (u.toLong << 32) | (v.toLong & 0xffffffffL))
+                      if (fo != null) fo.set(h, Edge.pack(u, v))
                       progress.mark(r)
                     }
                   } else if (writeMin(p, h, l)) progress.mark(r)

@@ -3,7 +3,7 @@ package repro.core.sampling
 import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.sql.SparkSession
 import repro.core.{Par, RunCtx}
-import repro.graph.{GraphGen, HostGraph}
+import repro.graph.{Edge, GraphGen, HostGraph}
 
 /** Shared frontier state for level-synchronous traversals (BFS, LDD,
   * Label-Propagation), held by value by the gang kernel that owns it.
@@ -163,7 +163,7 @@ object BfsSampling {
           val w = g.targets(j)
           if (w != src && ctx.parents.compareAndSet(w, w, src)) {
             val fo = ctx.forest
-            if (fo != null) fo.set(w, (v.toLong << 32) | (w.toLong & 0xffffffffL))
+            if (fo != null) fo.set(w, Edge.pack(v, w))
             if (len == buf.length) buf = java.util.Arrays.copyOf(buf, len * 2)
             buf(len) = w; len += 1
           }
@@ -191,7 +191,7 @@ object BfsSampling {
             if (w == src || ctx.parents.get(w) == src) {
               ctx.parents.set(v, src)
               val fo = ctx.forest
-              if (fo != null) fo.set(v, (w.toLong << 32) | (v.toLong & 0xffffffffL))
+              if (fo != null) fo.set(v, Edge.pack(w, v))
               buf(len) = v; len += 1
               done = true
             }

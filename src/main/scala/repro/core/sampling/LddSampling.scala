@@ -3,7 +3,7 @@ package repro.core.sampling
 import java.util.concurrent.atomic.{AtomicInteger, AtomicIntegerArray, AtomicLong}
 import org.apache.spark.sql.SparkSession
 import repro.core.{Par, RunCtx}
-import repro.graph.{GraphGen, HostGraph}
+import repro.graph.{Edge, GraphGen, HostGraph}
 
 /** Low-diameter decomposition sampling (Algorithm 6): one round of the
   * Miller–Peng–Xu decomposition with parameter beta.
@@ -91,7 +91,7 @@ object LddSampling {
               if (claimed.get(w) == 0 && claimed.compareAndSet(w, 0, 1)) {
                 ctx.parents.set(w, lab)
                 val fo = ctx.forest
-                if (fo != null) fo.set(w, (u.toLong << 32) | (w.toLong & 0xffffffffL))
+                if (fo != null) fo.set(w, Edge.pack(u, w))
                 if (len == buf.length) buf = java.util.Arrays.copyOf(buf, len * 2)
                 buf(len) = w; len += 1
               }

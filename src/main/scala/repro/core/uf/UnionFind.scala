@@ -2,6 +2,7 @@ package repro.core.uf
 
 import repro.core.Options._
 import repro.core.RunCtx
+import repro.graph.Edge
 import AtomicOps._
 
 /** Concurrent union-find algorithms of Section 3.3.1 (Algorithms 10–14)
@@ -16,12 +17,10 @@ import AtomicOps._
   */
 object UnionFind {
 
-  @inline private def pack(u: Int, v: Int): Long = (u.toLong << 32) | (v & 0xffffffffL)
-
   /** Record edge (u,v) as the forest edge of freshly-hooked root r. */
   @inline private def record(ctx: RunCtx, r: Int, u: Int, v: Int): Unit = {
     val f = ctx.forest
-    if (f != null) f.set(r, pack(u, v))
+    if (f != null) f.set(r, Edge.pack(u, v))
   }
 
   /** Dispatch a single union per the variant's Algorithm. */

@@ -138,7 +138,7 @@ object GraphGen {
     var e = 0
     var j0 = 1
     while (j0 < d) {
-      edges(e) = (j0.toLong << 32) | ((j0 - 1).toLong & 0xffffffffL)
+      edges(e) = Edge.pack(j0, j0 - 1)
       e += 1
       slots(w) = j0; slots(w + 1) = j0 - 1; w += 2
       j0 += 1
@@ -149,7 +149,7 @@ object GraphGen {
       var j = 0
       while (j < d) {
         val tgt = if (w == 0) 0 else slots(rnd.nextInt(w))
-        edges(e) = (i.toLong << 32) | (tgt.toLong & 0xffffffffL)
+        edges(e) = Edge.pack(i, tgt)
         e += 1
         slots(w) = i; slots(w + 1) = tgt; w += 2
         j += 1

@@ -85,10 +85,10 @@ object Reference {
     if (forest.length != want) return false
     val edgeSet = new java.util.HashSet[Long]()
     g.edgeIterator.foreach { case (u, v) =>
-      edgeSet.add((math.min(u, v).toLong << 32) | math.max(u, v).toLong)
+      edgeSet.add(Edge.pack(math.min(u, v), math.max(u, v)))
     }
     if (!forest.forall { case (u, v) =>
-          u != v && edgeSet.contains((math.min(u, v).toLong << 32) | math.max(u, v).toLong)
+          u != v && edgeSet.contains(Edge.pack(math.min(u, v), math.max(u, v)))
         }) return false
     val fcc = cc(g.n, forest.iterator)
     samePartition(full, fcc)

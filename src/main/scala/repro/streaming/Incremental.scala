@@ -5,6 +5,7 @@ import repro.core.{Par, RunCtx}
 import repro.core.Options._
 import repro.core.minbased.MinBased
 import repro.core.uf.UnionFind
+import repro.graph.Edge
 
 /** Batch-incremental / phase-concurrent streaming connectivity
   * (Section 3.5, Algorithm 3).
@@ -63,7 +64,7 @@ final class Incremental(spark: SparkSession, n: Int, finish: FinishOpt) {
           var j = lo
           while (j < hi) {
             val e = updates(j)
-            UnionFind.union(ctx, u, (e >>> 32).toInt, (e & 0xffffffffL).toInt)
+            UnionFind.union(ctx, u, Edge.src(e), Edge.dst(e))
             j += 1
           }
           if (phased) t.sync()
@@ -80,7 +81,7 @@ final class Incremental(spark: SparkSession, n: Int, finish: FinishOpt) {
       var j = lo
       while (j < hi) {
         val q = queries(j)
-        results(j) = root((q >>> 32).toInt) == root((q & 0xffffffffL).toInt)
+        results(j) = root(Edge.src(q)) == root(Edge.dst(q))
         j += 1
       }
     }

@@ -1,6 +1,7 @@
 package repro.streaming
 
 import scala.collection.mutable.ArrayBuffer
+import repro.graph.Edge
 
 /** STINGER-substitute streaming connected-components baseline (Table 5).
   *
@@ -39,8 +40,8 @@ final class StingerLike(n: Int) {
     var i = 0
     while (i < edges.length) {
       val e = edges(i)
-      val u = (e >>> 32).toInt
-      val v = (e & 0xffffffffL).toInt
+      val u = Edge.src(e)
+      val v = Edge.dst(e)
       if (u != v) {
         adjacency.get(u) += v
         adjacency.get(v) += u

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.{SparkSpec, TestGraphs}
 import repro.core.Options._
-import repro.graph.Reference
+import repro.graph.{Edge, Reference}
 
 /** Composability (Definition 3.1) of every sampling method: the emitted
   * labeling must be height-1 trees (after normalization, rooted at
@@ -90,7 +90,7 @@ class SamplingSpec extends SparkSpec {
           // each vertex but the source holds one tree edge from the level above
           for (w <- 1 until n) {
             val e = ctx.forest.get(w)
-            val (u, x) = ((e >>> 32).toInt, (e & 0xffffffffL).toInt)
+            val (u, x) = (Edge.src(e), Edge.dst(e))
             assert(x == w && (if (w <= hubs) u == 0 else u >= 1 && u <= hubs), s"vertex $w: edge ($u, $x)")
           }
         } finally ctx.unregister()

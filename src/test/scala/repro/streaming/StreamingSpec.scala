@@ -3,7 +3,7 @@ package repro.streaming
 import repro.SparkSpec
 import repro.core.Par
 import repro.core.Options._
-import repro.graph.{GraphGen, Reference}
+import repro.graph.{Edge, GraphGen, Reference}
 
 /** Batch-incremental streaming (Section 3.5 / B.4): after every batch,
   * the maintained labeling must equal static connectivity of the prefix;
@@ -11,14 +11,12 @@ import repro.graph.{GraphGen, Reference}
   */
 class StreamingSpec extends SparkSpec {
 
-  def pack(u: Int, v: Int): Long = (u.toLong << 32) | (v & 0xffffffffL)
-
   /** Deterministic stream of edges over n vertices. */
   def stream(n: Int, m: Int, seed: Long): Array[Long] =
     Array.tabulate(m) { i =>
       val u = ((GraphGen.mix(seed + i) >>> 1) % n).toInt
       val v = ((GraphGen.mix(seed ^ (i * 31 + 7)) >>> 1) % n).toInt
-      pack(u, math.max(0, v))
+      Edge.pack(u, math.max(0, v))
     }
 
   val streamingAlgs: Seq[(String, FinishOpt)] = Seq(
@@ -45,7 +43,7 @@ class StreamingSpec extends SparkSpec {
         inc.processBatch(b)
         applied = applied ++ b
         val expect = Reference.cc(n, applied.iterator.map(e =>
-          ((e >>> 32).toInt, (e & 0xffffffffL).toInt)))
+          (Edge.src(e), Edge.dst(e))))
         assert(Reference.samePartition(inc.labels, expect),
           s"$name diverged after ${applied.length} inserts")
       }
@@ -59,19 +57,19 @@ class StreamingSpec extends SparkSpec {
     try {
       inc.processBatch(edges)
       val ref = Reference.cc(n, edges.iterator.map(e =>
-        ((e >>> 32).toInt, (e & 0xffffffffL).toInt)))
+        (Edge.src(e), Edge.dst(e))))
       // queries in a follow-up batch with no updates
-      val queries = Array.tabulate(200)(i => pack(i % n, (i * 37 + 5) % n))
+      val queries = Array.tabulate(200)(i => Edge.pack(i % n, (i * 37 + 5) % n))
       val res = inc.processBatch(Array.empty, queries)
       queries.zip(res).foreach { case (q, got) =>
-        val u = (q >>> 32).toInt; val v = (q & 0xffffffffL).toInt
+        val u = Edge.src(q); val v = Edge.dst(q)
         assert(got == (ref(u) == ref(v)), s"$name wrong ISCONNECTED($u,$v)")
       }
     } finally inc.close()
   }
 
   def cc(n: Int, edges: Array[Long]): Array[Int] =
-    Reference.cc(n, edges.iterator.map(e => ((e >>> 32).toInt, (e & 0xffffffffL).toInt)))
+    Reference.cc(n, edges.iterator.map(e => (Edge.src(e), Edge.dst(e))))
 
   for ((name, alg) <- streamingAlgs
        if Set("UF-Rem-CAS", "UF-Rem-CAS-splice", "SV", "LT-CRFA")(name))
@@ -91,7 +89,7 @@ class StreamingSpec extends SparkSpec {
         assert(Reference.samePartition(inc.labels, post), s"$name diverged")
         // a true must hold after the batch, a false before it
         queries.zip(res).foreach { case (q, got) =>
-          val u = (q >>> 32).toInt; val v = (q & 0xffffffffL).toInt
+          val u = Edge.src(q); val v = Edge.dst(q)
           if (got) assert(post(u) == post(v), s"$name: true ISCONNECTED($u,$v)")
           else assert(pre(u) != pre(v), s"$name: false ISCONNECTED($u,$v)")
         }
@@ -116,14 +114,14 @@ class StreamingSpec extends SparkSpec {
     val edges = stream(n, 900, 99)
     val inc = new Incremental(spark, n, UnionFindOpt(UfRemCas, FindNaive, SplitAtomicOne))
     try {
-      val queries = Array.tabulate(100)(i => pack(i % n, (i * 13 + 1) % n))
+      val queries = Array.tabulate(100)(i => Edge.pack(i % n, (i * 13 + 1) % n))
       val res = inc.processBatch(edges, queries)
       val ref = Reference.cc(n, edges.iterator.map(e =>
-        ((e >>> 32).toInt, (e & 0xffffffffL).toInt)))
+        (Edge.src(e), Edge.dst(e))))
       // A true answer must hold in the final state (monotone inserts:
       // connectivity only grows, and all inserts are in this batch).
       queries.zip(res).foreach { case (q, got) =>
-        val u = (q >>> 32).toInt; val v = (q & 0xffffffffL).toInt
+        val u = Edge.src(q); val v = Edge.dst(q)
         if (got) assert(ref(u) == ref(v))
       }
     } finally inc.close()
@@ -141,7 +139,7 @@ class StreamingSpec extends SparkSpec {
     val st = new StingerLike(n)
     st.insertBatch(edges)
     val ref = Reference.cc(n, edges.iterator.map(e =>
-      ((e >>> 32).toInt, (e & 0xffffffffL).toInt)))
+      (Edge.src(e), Edge.dst(e))))
     assert(Reference.samePartition(st.labels, ref))
     assert(st.componentCount == Reference.numComponents(ref))
   }
