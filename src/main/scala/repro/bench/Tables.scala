@@ -1,5 +1,6 @@
 package repro.bench
 
+import java.util.concurrent.atomic.AtomicLong
 import org.apache.spark.sql.SparkSession
 import repro.core.{ConnectIt, Par, RunCtx}
 import repro.core.Options._
@@ -299,43 +300,42 @@ object Tables {
     emit(rows)
   }
 
-  /** Reduce +1 over every directed edge (reads the CSR sequentially). */
-  def mapEdges(spark: SparkSession, g: HostGraph): Long = {
-    val acc = spark.sparkContext.longAccumulator("map-edges")
-    val gid = g.id
-    val nChunks = Par.defaultChunks(spark)
-    Par.jobs(spark, nChunks) { i =>
-      val gr = HostGraph.lookup(gid)
-      val (lo, hi) = Par.range(gr.n, nChunks, i)
-      var s = 0L
-      var v = lo
-      while (v < hi) { s += gr.degree(v); v += 1 }
-      acc.add(s)
+  /** Sum of `share(lo, hi)` over the tasks' static shares of the
+    * vertices, as one gang job.
+    */
+  private def sumOverVertices(spark: SparkSession, g: HostGraph, run: String)
+                             (share: (Int, Int) => Long): Long = {
+    val sum = new AtomicLong(0)
+    Par.gang(spark, s"$run:${g.id}") { t =>
+      val (lo, hi) = t.range(g.n)
+      sum.addAndGet(share(lo, hi))
     }
-    acc.value
+    sum.get()
   }
 
+  /** Reduce +1 over every directed edge (reads the CSR sequentially). */
+  def mapEdges(spark: SparkSession, g: HostGraph): Long =
+    sumOverVertices(spark, g, "map-edges") { (lo, hi) =>
+      var s = 0L
+      var v = lo
+      while (v < hi) { s += g.degree(v); v += 1 }
+      s
+    }
+
   /** Indirect read per directed edge (degree of the neighbour). */
-  def gatherEdges(spark: SparkSession, g: HostGraph): Long = {
-    val acc = spark.sparkContext.longAccumulator("gather-edges")
-    val gid = g.id
-    val nChunks = Par.defaultChunks(spark)
-    Par.jobs(spark, nChunks) { i =>
-      val gr = HostGraph.lookup(gid)
-      val (lo, hi) = Par.range(gr.n, nChunks, i)
+  def gatherEdges(spark: SparkSession, g: HostGraph): Long =
+    sumOverVertices(spark, g, "gather-edges") { (lo, hi) =>
       var s = 0L
       var v = lo
       while (v < hi) {
-        var j = gr.offsets(v)
-        while (j < gr.offsets(v + 1)) {
-          val w = gr.targets(j)
-          s += gr.offsets(w + 1) - gr.offsets(w) // indirect read
+        var j = g.offsets(v)
+        while (j < g.offsets(v + 1)) {
+          val w = g.targets(j)
+          s += g.offsets(w + 1) - g.offsets(w) // indirect read
           j += 1
         }
         v += 1
       }
-      acc.add(s)
+      s
     }
-    acc.value
-  }
 }

@@ -263,42 +263,57 @@ object ConnectIt {
   }
 
   // --------------------------------------------------- union-find finish
-  /** Finish phase for the union-find family: without sampling, an
-    * edge-parallel pass over the chunked edge list; with sampling, a
-    * vertex-parallel CSR pass that skips vertices in the frequent
-    * component (their cross edges are applied from the other endpoint —
-    * Theorem 3). Both claim work dynamically and end in a barrier.
+  /** Finish phase for the union-find family: vertex-parallel passes over
+    * the CSR ([[forSlotBlocks]]), ending in a barrier. Without a frequent
+    * label each edge is applied once, as (v, w) from its lower endpoint v,
+    * in the order of the sorted u < v edge list. With one, every edge is
+    * applied from both endpoints and vertices in the frequent component
+    * are skipped (their cross edges are applied from the other endpoint —
+    * Theorem 3). The two cases are separate loops, so that neither kind of
+    * run deoptimizes the other's compiled code.
     */
   private def unionFindFinish(t: Par.Task, g: HostGraph, ctx: RunCtx,
-                              opt: UnionFindOpt, frequentid: Int): Unit =
-    if (frequentid < 0) {
-      t.forDynamic(g.chunks.length, 1) { (lo, hi) =>
-        var c = lo
-        while (c < hi) {
-          val arr = g.chunks(c)
-          var j = 0
-          while (j < arr.length) {
-            val e = arr(j)
-            UnionFind.union(ctx, opt, Edge.src(e), Edge.dst(e))
-            j += 1
-          }
-          c += 1
-        }
+                              opt: UnionFindOpt, frequentid: Int): Unit = {
+    val s = ctx.sampled
+    if (frequentid < 0) forSlotBlocks(t, g) { (lo, hi) =>
+      var v = lo
+      while (v < hi) {
+        // the neighbours above v are the suffix of its sorted slots;
+        // finding it from the end touches only the slots the unions read
+        val end = g.offsets(v + 1)
+        val first = g.offsets(v)
+        var j = end
+        while (j > first && g.targets(j - 1) > v) j -= 1
+        while (j < end) { UnionFind.union(ctx, opt, v, g.targets(j)); j += 1 }
+        v += 1
       }
-    } else {
-      val s = ctx.sampled
-      t.forDynamic(g.n) { (lo, hi) =>
-        var v = lo
-        while (v < hi) {
-          if (s(v) != frequentid) {
-            val end = g.offsets(v + 1)
-            var j = g.offsets(v)
-            while (j < end) { UnionFind.union(ctx, opt, v, g.targets(j)); j += 1 }
-          }
-          v += 1
+    } else forSlotBlocks(t, g) { (lo, hi) =>
+      var v = lo
+      while (v < hi) {
+        if (s(v) != frequentid) {
+          val end = g.offsets(v + 1)
+          var j = g.offsets(v)
+          while (j < end) { UnionFind.union(ctx, opt, v, g.targets(j)); j += 1 }
         }
+        v += 1
       }
     }
+  }
+
+  /** `f(lo, hi)` on dynamically claimed vertex ranges that each hold
+    * about the same number of CSR slots, so skewed degrees stay balanced;
+    * ends in a barrier. The vertices whose slots start in [a, b) form the
+    * range of slot block [a, b); trailing vertices without neighbours
+    * fall in none.
+    */
+  private def forSlotBlocks(t: Par.Task, g: HostGraph)(f: (Int, Int) => Unit): Unit = {
+    def firstAt(x: Int): Int = { // first vertex whose slots start at or after x
+      var lo = 0; var hi = g.n
+      while (lo < hi) { val mid = (lo + hi) >>> 1; if (g.offsets(mid) < x) lo = mid + 1 else hi = mid }
+      lo
+    }
+    t.forDynamic(g.offsets(g.n)) { (a, b) => f(firstAt(a), firstAt(b)) }
+  }
 
   // ------------------------------------------------------ sampling stats
   /** (coverage, inter-component edge fraction) of the sampled labeling —

@@ -21,8 +21,7 @@ import repro.graph.SharedState
   * serialized, so it captures the run's shared objects directly; this is
   * valid only in local mode, which [[gang]] checks. [[eachPartition]]
   * hands a registered body the rows of an existing RDD's partitions (the
-  * graph intake). [[jobs]] (serialized chunk closures) serves only the
-  * Table 8 edge-map baselines.
+  * graph intake); every parallel loop after it is a gang body.
   */
 object Par {
   /** Granularity control: below this estimated work a [[gang]] runs on
@@ -31,6 +30,11 @@ object Par {
     */
   val GrainSize: Long = 65536L
 
+  /** One plain Spark job of `nChunks` tasks running the serialized
+    * closure `f(chunk)`. No kernel uses it; it stays only because the
+    * benchmark's self-test (`perfbench/test`) launches its test jobs with
+    * it, and goes with the next change to the benchmark.
+    */
   def jobs(spark: SparkSession, nChunks: Int)(f: Int => Unit): Unit =
     spark.sparkContext.parallelize(0 until nChunks, nChunks).foreach(f)
 

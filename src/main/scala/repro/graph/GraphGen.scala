@@ -197,11 +197,6 @@ object GraphGen {
     spark.range(1, n).select(lit(0).as("u"), col("id").cast("int").as("v"))
   }
 
-  /** Disjoint union: shifts the second graph's ids by `offset`. */
-  def disjointUnion(g1: DataFrame, g2: DataFrame, offset: Int): DataFrame =
-    g1.union(g2.select((col("u") + offset).cast("int").as("u"),
-                       (col("v") + offset).cast("int").as("v")))
-
   /** Erdős–Rényi-ish random graph with expected m edges, guaranteed to
     * contain at least minComponents separate blocks of vertices.
     */

@@ -10,9 +10,9 @@ import repro.core.Par
   * Holds the symmetric CSR adjacency (`offsets`/`targets`, both edge
   * directions present, each vertex's neighbours sorted) and the
   * undirected edge list packed into fixed-size chunks (`chunks`, each
-  * element `Edge.pack(u, v)` with u < v, in ascending order). Registered
-  * in [[SharedState]] under `id` so Spark tasks can reach it without
-  * closure capture.
+  * element `Edge.pack(u, v)` with u < v, in ascending order). Gang bodies
+  * capture it directly; it is registered in [[SharedState]] under `id`
+  * so that a graph that is not unregistered shows up as a leak.
   *
   * `m` counts undirected edges (after symmetrize + dedupe + self-loop
   * removal); `targets.length == 2 * m`.
@@ -30,9 +30,6 @@ final class HostGraph private (
 
   def degree(v: Int): Int = offsets(v + 1) - offsets(v)
 
-  /** Undirected edge count per chunk (for throughput math). */
-  def chunkSizes: Array[Int] = chunks.map(_.length)
-
   /** Iterate undirected edges on the driver (tests / reference only). */
   def edgeIterator: Iterator[(Int, Int)] =
     chunks.iterator.flatMap(_.iterator.map(e => (Edge.src(e), Edge.dst(e))))
@@ -43,8 +40,6 @@ final class HostGraph private (
 object HostGraph {
   private val counter = new AtomicLong(0)
   private[graph] def key(id: String) = s"graph:$id"
-
-  def lookup(id: String): HostGraph = SharedState.get[HostGraph](key(id))
 
   /** Build from a directed edge DataFrame with columns (u, v).
     *
@@ -59,7 +54,7 @@ object HostGraph {
     *                  fraction of ids never appear in edges.
     */
   def fromEdges(spark: SparkSession, edges: DataFrame,
-                nOverride: Int = -1, chunkTarget: Int = -1): HostGraph = {
+                nOverride: Int = -1): HostGraph = {
     val t0 = System.nanoTime()
     val rows = edges.select(col("u").cast("int"), col("v").cast("int")).queryExecution.toRdd
     val parts = new Array[Samples](rows.getNumPartitions)
@@ -71,7 +66,7 @@ object HostGraph {
       }
       parts(p) = s
     }
-    build(spark, parts, nOverride, chunkTarget, t0)
+    build(spark, parts, nOverride, t0)
   }
 
   /** Build directly from an undirected edge array (tests, quotient graphs). */
@@ -79,7 +74,7 @@ object HostGraph {
     val t0 = System.nanoTime()
     val s = new Samples
     edges.foreach { case (u, v) => s.add(u, v) }
-    build(spark, Array(s), n, -1, t0)
+    build(spark, Array(s), n, t0)
   }
 
   /** CSR slots needed by `samples` edge samples (each stored in both
@@ -156,8 +151,8 @@ object HostGraph {
     *     `chunks`.
     * Below [[Par.GrainSize]] samples plus vertices the gang is one task on
     * the calling thread. `n` is `max(nOverride, maxId + 1)` (maxId = 0
-    * with no edges) and the edge list is cut into `chunkTarget` (default
-    * [[Par.defaultChunks]]) equal chunks, capped at one per edge.
+    * with no edges) and the edge list is cut into [[Par.defaultChunks]]
+    * equal chunks, capped at one per edge.
     *
     * The build uses only `sync` and `range` of [[Par.Task]], not
     * `forDynamic` or `single`: it runs before any kernel, and its lambdas
@@ -166,11 +161,11 @@ object HostGraph {
     * after it by 7–10% (perfbench static-uniform, 4-vCPU VM).
     */
   private def build(spark: SparkSession, parts: Array[Samples], nOverride: Int,
-                    chunkTarget: Int, t0: Long): HostGraph = {
+                    t0: Long): HostGraph = {
     val starts = parts.scanLeft(0L)(_ + _.size)
     val total = slotCount(starts.last) / 2
     val n = math.max(nOverride, parts.foldLeft(0)(_ max _.maxId) + 1)
-    val nChunks0 = if (chunkTarget > 0) chunkTarget else Par.defaultChunks(spark)
+    val maxChunks = Par.defaultChunks(spark)
     val id = s"g${counter.incrementAndGet()}"
 
     val slots = new Array[Int](2 * total)
@@ -231,7 +226,7 @@ object HostGraph {
         while (u < n) { offsets(u + 1) += offsets(u); upper(u + 1) += upper(u); u += 1 }
         targets = new Array[Int](offsets(n))
         val m = upper(n)
-        val nChunks = math.max(1, math.min(nChunks0, math.max(1, m)))
+        val nChunks = math.max(1, math.min(maxChunks, math.max(1, m)))
         per = (m + nChunks - 1) / nChunks
         chunks = Array.tabulate(nChunks) { c =>
           val len = math.min(m, c * per + per) - c * per

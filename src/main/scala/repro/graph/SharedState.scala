@@ -13,8 +13,7 @@ import java.util.concurrent.ConcurrentHashMap
   * its body under one key, and each task, whose closure carries only the
   * key, fetches the body, which holds the run's arrays directly. Graphs
   * and run contexts register too, so tests can check that a run leaves
-  * nothing behind; the plain `Par.jobs` closures of the Table 8
-  * baselines reach their graph through `HostGraph.lookup`.
+  * nothing behind.
   *
   * This is a deliberate, documented substitution (see DESIGN.md): it is
   * only valid in local mode, which is exactly the paper's setting (a

@@ -36,6 +36,14 @@ object TestGraphs {
   def uniform(spark: SparkSession): HostGraph =
     get("uniform")(HostGraph.fromEdges(spark, GraphGen.uniform(spark, 800, 3000), nOverride = 800))
 
+  /** Star centred at the largest id: the centre has no neighbour above it. */
+  def starHigh(spark: SparkSession): HostGraph =
+    get("star-high")(HostGraph.fromArray(spark, 500, Array.tabulate(499)(i => (499, i))))
+
+  /** Path 299 - 298 - ... - 0, its edges given as (higher, lower) from the top. */
+  def pathDesc(spark: SparkSession): HostGraph =
+    get("path-desc")(HostGraph.fromArray(spark, 300, Array.tabulate(299)(i => (299 - i, 298 - i))))
+
   /** Suite of (name, graph, reference labels) used by cross-product tests. */
   def suite(spark: SparkSession): Seq[(String, HostGraph, Array[Int])] = {
     val gs = Seq(
@@ -45,6 +53,8 @@ object TestGraphs {
       "star" -> star(spark),
       "multi" -> multi(spark),
       "uniform" -> uniform(spark),
+      "star-high" -> starHigh(spark),
+      "path-desc" -> pathDesc(spark),
     )
     gs.map { case (n, g) => (n, g, Reference.cc(g)) }
   }

@@ -6,8 +6,10 @@ import repro.graph.Reference
 
 /** Every union-find variant x find option x (for Rem's) splice option,
   * validated against the sequential reference on the full test-graph
-  * suite — both as a plain finish method (No Sampling) and in
-  * edge-parallel concurrent execution.
+  * suite as a plain finish method (No Sampling), whose gang tasks apply
+  * each edge once, from its lower endpoint. The star centred at the
+  * largest id and the descending path are the graphs where that skip
+  * decides which endpoint applies every edge.
   */
 class UnionFindSpec extends SparkSpec {
 
@@ -31,7 +33,7 @@ class UnionFindSpec extends SparkSpec {
 
   for {
     opt <- allUfOpts
-    gname <- Seq("path", "torus", "rmat", "star", "multi", "uniform")
+    gname <- Seq("path", "torus", "rmat", "star", "multi", "uniform", "star-high", "path-desc")
   } test(s"${opt.name} matches reference on $gname") {
     val (_, g, ref) = TestGraphs.suite(spark).find(_._1 == gname).get
     val res = ConnectIt.connectivity(spark, g, NoSampling, opt)
