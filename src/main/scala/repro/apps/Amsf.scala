@@ -34,39 +34,31 @@ object Amsf {
 
   private val ufOpt = UnionFindOpt(UfRemCas, FindNaive, SplitAtomicOne)
 
-  /** Exponentially-distributed weights, one per undirected edge, laid
-    * out parallel to g.chunks (deterministic in seed).
+  /** Exponentially-distributed weights, one per undirected edge,
+    * parallel to `g.upperEdges()`; each is a function of the seed and the
+    * packed edge alone.
     */
-  def expWeights(g: HostGraph, seed: Long): Array[Array[Double]] =
-    g.chunks.map(_.map(e => -math.log(1.0 - GraphGen.u01(seed, e, 13)) + 1e-9))
+  def expWeights(g: HostGraph, seed: Long): Array[Double] =
+    g.upperEdges().map(e => -math.log(1.0 - GraphGen.u01(seed, e, 13)) + 1e-9)
 
-  /** Flattened (packedEdge, weight) pairs sorted by weight. */
-  private def flatSorted(g: HostGraph, w: Array[Array[Double]]): (Array[Long], Array[Double]) = {
-    val m = g.chunks.iterator.map(_.length).sum
-    val es = new Array[Long](m); val ws = new Array[Double](m)
-    var k = 0
-    var c = 0
-    while (c < g.chunks.length) {
-      val arr = g.chunks(c); val warr = w(c)
-      var j = 0
-      while (j < arr.length) { es(k) = arr(j); ws(k) = warr(j); k += 1; j += 1 }
-      c += 1
-    }
-    val idx = es.indices.toArray.sortBy(ws)
-    (idx.map(es), idx.map(ws))
+  /** The edges and their parallel weights, sorted by weight (stable). */
+  private def byWeight(edges: Array[Long], w: Array[Double]): (Array[Long], Array[Double]) = {
+    val idx = edges.indices.toArray.sortBy(w)
+    (idx.map(edges), idx.map(w))
   }
 
   /** One AMSF run as one gang job: a bucket is a dynamically split pass
     * over its edges, and the barrier that ends it orders the buckets.
     */
-  def run(spark: SparkSession, g: HostGraph, w: Array[Array[Double]],
+  def run(spark: SparkSession, g: HostGraph, w: Array[Double],
           eps: Double, variant: Variant): Result = {
     val t0 = System.nanoTime()
     val ctx = RunCtx.create(g.n)
     ctx.ensureForest()
     try {
+      val edges = g.upperEdges()
       var wmin = Double.MaxValue; var wmax = 0.0
-      w.foreach(_.foreach { x => if (x < wmin) wmin = x; if (x > wmax) wmax = x })
+      w.foreach { x => if (x < wmin) wmin = x; if (x > wmax) wmax = x }
       if (wmax <= 0) return Result(0, 0, 0)
       val nBuckets = math.max(1,
         (math.log(wmax / wmin) / math.log1p(eps)).toInt + 1)
@@ -77,7 +69,7 @@ object Amsf {
 
       variant match {
         case EA =>
-          val (es, ws) = flatSorted(g, w)
+          val (es, ws) = byWeight(edges, w)
           // bucket b is es(bounds(b) until bounds(b + 1))
           val bounds = new Array[Int](nBuckets + 1)
           var b = 0
@@ -101,14 +93,17 @@ object Amsf {
           }
 
         case F | NF | NFS =>
-          // alive edge store (F compacts it; NF/NF-S leave it whole)
-          val store = g.chunks.map(_.clone())
-          val wstore = w.map(_.clone())
-          val alive = store.map(_.length)
+          // F compacts its copy of the edges; NF/NF-S rescan them whole
+          val filt = variant == F
+          val store = if (filt) edges.clone() else edges
+          val wstore = if (filt) w.clone() else w
           val labels = if (variant == NFS) new Array[Int](g.n) else null
           var freq = -1 // NF-S: the bucket's largest component, from task 0
-          val filt = variant == F
           Par.gang(spark, ctx.id) { t =>
+            // this task's static share of the store; its alive edges are
+            // store(elo until alive)
+            val (elo, ehi) = t.range(store.length)
+            var alive = ehi
             var b = 0
             while (b < nBuckets) {
               val loW = wmin * math.pow(1 + eps, b) - (if (b == 0) 1e-12 else 0)
@@ -120,54 +115,39 @@ object Amsf {
                 t.single { freq = repro.core.ConnectIt.identifyFrequent(labels) }
               }
               val fr = freq
-              t.forDynamic(store.length, 1) { (lo, hi) =>
-                var c = lo
-                while (c < hi) {
-                  val arr = store(c); val warr = wstore(c)
-                  val lim = alive(c)
-                  var j = 0
-                  var keep = 0
-                  while (j < lim) {
-                    val e = arr(j); val x = warr(j)
-                    if (x >= loW && x < hiW) {
-                      // NF-S: skip only edges internal to L_max
-                      if (fr < 0 || !(labels(Edge.src(e)) == fr && labels(Edge.dst(e)) == fr))
-                        union(e)
-                    } else if (filt) {
-                      arr(keep) = e; warr(keep) = x; keep += 1
-                    }
-                    j += 1
-                  }
-                  if (filt) alive(c) = keep
-                  c += 1
+              var j = elo
+              var keep = elo
+              while (j < alive) {
+                val e = store(j); val x = wstore(j)
+                if (x >= loW && x < hiW) {
+                  // NF-S: skip only edges internal to L_max
+                  if (fr < 0 || !(labels(Edge.src(e)) == fr && labels(Edge.dst(e)) == fr))
+                    union(e)
+                } else if (filt) {
+                  store(keep) = e; wstore(keep) = x; keep += 1
                 }
+                j += 1
               }
+              if (filt) alive = keep
+              t.sync()
               b += 1
             }
           }
       }
 
-      val (wsum, cnt) = forestWeight(g, w, ctx)
+      val (wsum, cnt) = forestWeight(edges, w, ctx)
       Result(wsum, cnt, (System.nanoTime() - t0) / 1e9)
     } finally ctx.unregister()
   }
 
-  /** Sum weights of the recorded forest edges (looked up by endpoints). */
-  private def forestWeight(g: HostGraph, w: Array[Array[Double]], ctx: RunCtx): (Double, Int) = {
-    // weight lookup: packed edge -> weight
-    val map = new java.util.HashMap[java.lang.Long, java.lang.Double]()
-    var c = 0
-    while (c < g.chunks.length) {
-      val arr = g.chunks(c); val warr = w(c)
-      var j = 0
-      while (j < arr.length) { map.put(arr(j), warr(j)); j += 1 }
-      c += 1
-    }
+  /** Sum weights of the recorded forest edges, each found by binary
+    * search in the sorted edge list `edges` (`w` parallel to it).
+    */
+  private def forestWeight(edges: Array[Long], w: Array[Double], ctx: RunCtx): (Double, Int) = {
     var sum = 0.0; var cnt = 0
     ctx.forestEdges.foreach { case (u, v) =>
-      val key = Edge.pack(math.min(u, v), math.max(u, v))
-      val x = map.get(key)
-      if (x != null) { sum += x.doubleValue(); cnt += 1 }
+      val i = java.util.Arrays.binarySearch(edges, Edge.pack(math.min(u, v), math.max(u, v)))
+      if (i >= 0) { sum += w(i); cnt += 1 }
     }
     (sum, cnt)
   }
@@ -178,12 +158,13 @@ object Amsf {
     * selected edges form a forest and every union order links the same
     * ones.
     */
-  def boruvka(spark: SparkSession, g: HostGraph, w: Array[Array[Double]]): Result = {
+  def boruvka(spark: SparkSession, g: HostGraph, w: Array[Double]): Result = {
     val t0 = System.nanoTime()
     val ctx = RunCtx.create(g.n)
     ctx.ensureForest()
     try {
-      val (es, _) = flatSorted(g, w)
+      val edges = g.upperEdges()
+      val (es, _) = byWeight(edges, w)
       // per component root: the lowest rank (position in the weight-sorted
       // order) of an edge leaving it
       val minEdge = new AtomicLongArray(g.n)
@@ -228,7 +209,7 @@ object Amsf {
           round += 1
         } while (progress.changed(round - 1))
       }
-      val (wsum, cnt) = forestWeight(g, w, ctx)
+      val (wsum, cnt) = forestWeight(edges, w, ctx)
       Result(wsum, cnt, (System.nanoTime() - t0) / 1e9)
     } finally ctx.unregister()
   }

@@ -6,7 +6,7 @@ import repro.core.Options._
 import repro.core.minbased.MinBased
 import repro.core.{sampling => smp}
 import repro.core.uf.{AtomicOps, UnionFind}
-import repro.graph.{Edge, HostGraph}
+import repro.graph.HostGraph
 
 /** The ConnectIt framework: Algorithm 1 (connectivity) and Algorithm 2
   * (spanning forest) — compose any sampling method with any finish
@@ -247,17 +247,20 @@ object ConnectIt {
       }
     }
 
+    /** The most frequent label of the sample (seen at least twice), or
+      * -1; the argmax is tracked as the counts grow.
+      */
     private def sampleCandidate(labels: Array[Int]): Int = {
       val n = labels.length
-      val counts = new java.util.HashMap[Integer, Integer]()
+      val counts = new Array[Int](n)
+      var best = -1; var bestC = 1
       var i = 0
       while (i < SampleSize) {
-        val v = ((repro.graph.GraphGen.mix(0x5eed + i) >>> 1) % n).toInt
-        counts.merge(labels(v), 1, (a, b) => a + b)
+        val l = labels(((repro.graph.GraphGen.mix(0x5eed + i) >>> 1) % n).toInt)
+        counts(l) += 1
+        if (counts(l) > bestC) { best = l; bestC = counts(l) }
         i += 1
       }
-      var best = -1; var bestC = 1
-      counts.forEach((l, c) => if (c > bestC) { best = l; bestC = c })
       best
     }
   }
@@ -326,15 +329,14 @@ object ConnectIt {
     var freqCount = 0L
     var i = 0
     while (i < s.length) { if (s(i) == frequentid) freqCount += 1; i += 1 }
-    var inter = 0L
-    g.chunks.foreach { arr =>
-      var j = 0
-      while (j < arr.length) {
-        val e = arr(j)
-        if (s(Edge.src(e)) != s(Edge.dst(e))) inter += 1
-        j += 1
-      }
+    // each inter-component edge shows up in both endpoints' CSR slots
+    var interSlots = 0L
+    var v = 0
+    while (v < g.n) {
+      var j = g.offsets(v)
+      while (j < g.offsets(v + 1)) { if (s(v) != s(g.targets(j))) interSlots += 1; j += 1 }
+      v += 1
     }
-    (freqCount.toDouble / g.n, inter.toDouble / math.max(1L, g.m))
+    (freqCount.toDouble / g.n, (interSlots / 2).toDouble / math.max(1L, g.m))
   }
 }

@@ -30,21 +30,17 @@ object Par {
     */
   val GrainSize: Long = 65536L
 
-  /** One plain Spark job of `nChunks` tasks running the serialized
-    * closure `f(chunk)`. No kernel uses it; it stays only because the
+  /** One plain Spark job of `tasks` tasks running the serialized
+    * closure `f(task)`. No kernel uses it; it stays only because the
     * benchmark's self-test (`perfbench/test`) launches its test jobs with
     * it, and goes with the next change to the benchmark.
     */
-  def jobs(spark: SparkSession, nChunks: Int)(f: Int => Unit): Unit =
-    spark.sparkContext.parallelize(0 until nChunks, nChunks).foreach(f)
+  def jobs(spark: SparkSession, tasks: Int)(f: Int => Unit): Unit =
+    spark.sparkContext.parallelize(0 until tasks, tasks).foreach(f)
 
-  /** Default kernel fan-out: 2 tasks per core. */
-  def defaultChunks(spark: SparkSession): Int =
-    math.max(1, 2 * spark.sparkContext.defaultParallelism)
-
-  /** Split [0, n) into nChunks ranges; returns (lo, hi) for chunk i. */
-  def range(n: Int, nChunks: Int, i: Int): (Int, Int) = {
-    val per = (n + nChunks - 1) / nChunks
+  /** Split [0, n) into `parts` ranges; returns (lo, hi) for part i. */
+  def range(n: Int, parts: Int, i: Int): (Int, Int) = {
+    val per = (n + parts - 1) / parts
     val lo = math.min(n, i * per)
     (lo, math.min(n, lo + per))
   }

@@ -26,11 +26,12 @@ import repro.graph.{Edge, HostGraph}
 object MinBased {
   private val RoundCap = 100000 // safety net against a non-converging rule
 
-  /** Task-side kernel of a finish over an edge store: chunks of packed
-    * edges, which Alter variants mutate (pass a copy). Runs to fixpoint
+  /** Task-side kernel of a finish over an edge store: one flat array of
+    * packed edges, split over its edges by [[Par.Task.forDynamic]] each
+    * phase, which Alter variants mutate (pass a copy). Runs to fixpoint
     * and ends in a barrier; one instance serves one gang run.
     */
-  trait EdgeKernel { def apply(t: Par.Task, store: Array[Array[Long]]): Unit }
+  trait EdgeKernel { def apply(t: Par.Task, store: Array[Long]): Unit }
 
   /** The edge kernel of SV or a Liu-Tarjan variant (streaming batches). */
   def edgeKernel(ctx: RunCtx, f: FinishOpt, forestMode: Boolean): EdgeKernel = f match {
@@ -42,9 +43,9 @@ object MinBased {
 
   /** The finish phase of a min-based option as a task-side step taking the
     * frequent label: install the -1 sentinel on the frequent component
-    * (B.2.6), build the edge store (the graph's edges minus those internal
-    * to the frequent component, copied when Alter mutates them), then run
-    * the kernel. Ends in a barrier.
+    * (B.2.6), pack the edge store from the CSR (the u < v edges minus those
+    * internal to the frequent component; a fresh array each run, which
+    * Alter variants may mutate), then run the kernel. Ends in a barrier.
     */
   def finish(g: HostGraph, ctx: RunCtx, f: FinishOpt, forestMode: Boolean): (Par.Task, Int) => Unit =
     f match {
@@ -56,27 +57,13 @@ object MinBased {
         }
       case _ =>
         val kernel = edgeKernel(ctx, f, forestMode)
-        val copy = f match { case lt: LiuTarjanOpt => lt.alter; case _ => false }
-        val store = new Array[Array[Long]](g.chunks.length)
-        (t, frequentid) =>
-          if (frequentid < 0 && !copy) kernel(t, g.chunks)
-          else {
-            if (frequentid >= 0) installSentinel(t, ctx, frequentid)
-            val s = ctx.sampled
-            t.forDynamic(store.length, 1) { (lo, hi) =>
-              var c = lo
-              while (c < hi) {
-                val arr = g.chunks(c)
-                store(c) =
-                  if (frequentid < 0) arr.clone()
-                  else arr.filter { e =>
-                    !(s(Edge.src(e)) == frequentid && s(Edge.dst(e)) == frequentid)
-                  }
-                c += 1
-              }
-            }
-            kernel(t, store)
-          }
+        val pack = new HostGraph.UpperPack(g)
+        (t, frequentid) => {
+          // the pack reads only `sampled`, so it may overlap the sentinel
+          // writes; its closing barrier orders both before the kernel
+          if (frequentid >= 0) installSentinel(t, ctx, frequentid)
+          kernel(t, pack(t, if (frequentid >= 0) ctx.sampled else null, frequentid))
+        }
     }
 
   /** Sentinel -1 on this task's share of the frequent component. */
@@ -111,26 +98,22 @@ object MinBased {
       case Connect => 0; case ParentConnect => 1; case ExtendedConnect => 2
     }
 
-    def apply(t: Par.Task, store: Array[Array[Long]]): Unit = {
+    def apply(t: Par.Task, store: Array[Long]): Unit = {
       if (opt.rootUp) snapshotPrev(t, ctx)
       val (vlo, vhi) = t.range(ctx.n)
       var round = 0
       do {
         val r = round
-        t.forDynamic(store.length, 1) { (lo, hi) =>
-          var c = lo; while (c < hi) { connect(store(c), r); c += 1 }
-        }
+        t.forDynamic(store.length) { (lo, hi) => connect(store, lo, hi, r) }
         shortcut(vlo, vhi, r)
         t.sync()
-        if (opt.alter) t.forDynamic(store.length, 1) { (lo, hi) =>
-          var c = lo; while (c < hi) { alter(store(c), r); c += 1 }
-        }
+        if (opt.alter) t.forDynamic(store.length) { (lo, hi) => alter(store, lo, hi, r) }
         round += 1
         require(round < RoundCap, s"Liu-Tarjan ${opt.name} did not converge")
       } while (progress.changed(round - 1))
     }
 
-    private def connect(arr: Array[Long], r: Int): Unit = {
+    private def connect(arr: Array[Long], lo: Int, hi: Int, r: Int): Unit = {
       val p = ctx.parents
       val prev = ctx.prev
       val rootUp = opt.rootUp
@@ -151,8 +134,8 @@ object MinBased {
           }
         }
       }
-      var j = 0
-      while (j < arr.length) {
+      var j = lo
+      while (j < hi) {
         val e = arr(j)
         if (e != -1L) {
           val u = Edge.src(e); val v = Edge.dst(e)
@@ -201,10 +184,10 @@ object MinBased {
       }
     }
 
-    private def alter(arr: Array[Long], r: Int): Unit = {
+    private def alter(arr: Array[Long], lo: Int, hi: Int, r: Int): Unit = {
       val p = ctx.parents
-      var j = 0
-      while (j < arr.length) {
+      var j = lo
+      while (j < hi) {
         val e = arr(j)
         if (e != -1L) {
           val u = Edge.src(e); val v = Edge.dst(e)
@@ -233,7 +216,7 @@ object MinBased {
     ctx.ensurePrev()
     private val progress = new Par.Progress
 
-    def apply(t: Par.Task, store: Array[Array[Long]]): Unit = {
+    def apply(t: Par.Task, store: Array[Long]): Unit = {
       val p = ctx.parents
       val prev = ctx.prev
       snapshotPrev(t, ctx)
@@ -241,20 +224,15 @@ object MinBased {
       var round = 0
       do {
         val r = round
-        t.forDynamic(store.length, 1) { (lo, hi) =>
-          var c = lo
-          while (c < hi) {
-            val arr = store(c)
-            var j = 0
-            while (j < arr.length) {
-              val e = arr(j)
-              val u = Edge.src(e); val v = Edge.dst(e)
-              val lu = prev(u); val lv = prev(v)
-              if (lv < u && writeMin(p, u, lv)) progress.mark(r)
-              if (lu < v && writeMin(p, v, lu)) progress.mark(r)
-              j += 1
-            }
-            c += 1
+        t.forDynamic(store.length) { (lo, hi) =>
+          var j = lo
+          while (j < hi) {
+            val e = store(j)
+            val u = Edge.src(e); val v = Edge.dst(e)
+            val lu = prev(u); val lv = prev(v)
+            if (lv < u && writeMin(p, u, lv)) progress.mark(r)
+            if (lu < v && writeMin(p, v, lu)) progress.mark(r)
+            j += 1
           }
         }
         var v = vlo
@@ -282,7 +260,7 @@ object MinBased {
     ctx.ensurePrev()
     private val progress = new Par.Progress
 
-    def apply(t: Par.Task, store: Array[Array[Long]]): Unit = {
+    def apply(t: Par.Task, store: Array[Long]): Unit = {
       val p = ctx.parents
       val prev = ctx.prev
       snapshotPrev(t, ctx)
@@ -290,30 +268,25 @@ object MinBased {
       var round = 0
       do {
         val r = round
-        t.forDynamic(store.length, 1) { (lo, hi) =>
-          var c = lo
-          while (c < hi) {
-            val arr = store(c)
-            var j = 0
-            while (j < arr.length) {
-              val e = arr(j)
-              val u = Edge.src(e); val v = Edge.dst(e)
-              val pu = p.get(u); val pv = p.get(v)
-              if (pu != pv) {
-                val l = math.min(pu, pv); val h = math.max(pu, pv)
-                if (h >= 0 && prev(h) == h) {
-                  if (forestMode) {
-                    if (p.compareAndSet(h, h, l)) {
-                      val fo = ctx.forest
-                      if (fo != null) fo.set(h, Edge.pack(u, v))
-                      progress.mark(r)
-                    }
-                  } else if (writeMin(p, h, l)) progress.mark(r)
-                }
+        t.forDynamic(store.length) { (lo, hi) =>
+          var j = lo
+          while (j < hi) {
+            val e = store(j)
+            val u = Edge.src(e); val v = Edge.dst(e)
+            val pu = p.get(u); val pv = p.get(v)
+            if (pu != pv) {
+              val l = math.min(pu, pv); val h = math.max(pu, pv)
+              if (h >= 0 && prev(h) == h) {
+                if (forestMode) {
+                  if (p.compareAndSet(h, h, l)) {
+                    val fo = ctx.forest
+                    if (fo != null) fo.set(h, Edge.pack(u, v))
+                    progress.mark(r)
+                  }
+                } else if (writeMin(p, h, l)) progress.mark(r)
               }
-              j += 1
             }
-            c += 1
+            j += 1
           }
         }
         // full shortcut + prev snapshot

@@ -1,8 +1,8 @@
 package repro.graph
 
 /** An edge (u, v) packed into one `Long`: u in the high 32 bits, v in
-  * the low 32. Every edge array of the framework (graph chunks, forest
-  * slots, update batches) uses this layout.
+  * the low 32. Every edge array of the framework (edge lists packed from
+  * the CSR, forest slots, update batches) uses this layout.
   */
 object Edge {
   @inline def pack(u: Int, v: Int): Long = (u.toLong << 32) | (v & 0xffffffffL)

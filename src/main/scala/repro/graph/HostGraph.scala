@@ -5,14 +5,13 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions.col
 import repro.core.Par
 
-/** A graph materialized for the shared-memory kernels.
-  *
-  * Holds the symmetric CSR adjacency (`offsets`/`targets`, both edge
-  * directions present, each vertex's neighbours sorted) and the
-  * undirected edge list packed into fixed-size chunks (`chunks`, each
-  * element `Edge.pack(u, v)` with u < v, in ascending order). Gang bodies
-  * capture it directly; it is registered in [[SharedState]] under `id`
-  * so that a graph that is not unregistered shows up as a leak.
+/** A graph materialized for the shared-memory kernels: the symmetric CSR
+  * adjacency (`offsets`/`targets`, both edge directions present, each
+  * vertex's neighbours sorted and distinct). It is the only copy of the
+  * edges; a pass that wants a flat edge array packs the u < v edges out of
+  * it with [[upperEdges]] (driver) or [[HostGraph.UpperPack]] (gang).
+  * Gang bodies capture it directly; it is registered in [[SharedState]]
+  * under `id` so that a graph that is not unregistered shows up as a leak.
   *
   * `m` counts undirected edges (after symmetrize + dedupe + self-loop
   * removal); `targets.length == 2 * m`.
@@ -22,7 +21,6 @@ final class HostGraph private (
     val n: Int,
     val offsets: Array[Int],  // length n + 1
     val targets: Array[Int],  // length 2m
-    val chunks: Array[Array[Long]],
     val loadTimeSec: Double,
 ) extends Serializable {
 
@@ -30,9 +28,51 @@ final class HostGraph private (
 
   def degree(v: Int): Int = offsets(v + 1) - offsets(v)
 
-  /** Iterate undirected edges on the driver (tests / reference only). */
+  /** Packs the edges (u, w), u in [lo, hi) and w > u, into `out` from
+    * `at` on, in sorted order, and returns where they end; with `out` null
+    * it only counts them. With `labels` non-null, edges whose endpoints
+    * both carry the label `skip` are left out.
+    */
+  def packUpper(lo: Int, hi: Int, out: Array[Long], at: Int,
+                labels: Array[Int] = null, skip: Int = -1): Int = {
+    var k = at
+    var u = lo
+    while (u < hi) {
+      // the neighbours above u are the suffix of its sorted slots
+      val end = offsets(u + 1)
+      var j = end
+      while (j > offsets(u) && targets(j - 1) > u) j -= 1
+      val inside = labels != null && labels(u) == skip
+      while (j < end) {
+        val w = targets(j)
+        if (!inside || labels(w) != skip) { if (out != null) out(k) = Edge.pack(u, w); k += 1 }
+        j += 1
+      }
+      u += 1
+    }
+    k
+  }
+
+  /** The sorted u < v edge list, packed on the calling thread. */
+  def upperEdges(): Array[Long] = {
+    val out = new Array[Long](m.toInt)
+    packUpper(0, n, out, 0)
+    out
+  }
+
+  /** The edge list as one chunk, computed on each call. Only the
+    * benchmark reads it (`perfbench`'s `graph.bytes`); it goes with the
+    * next change to the benchmark.
+    */
+  def chunks: Array[Array[Long]] = Array(upperEdges())
+
+  /** Iterate undirected edges (u, v), u < v, in sorted order on the
+    * driver (tests / reference only).
+    */
   def edgeIterator: Iterator[(Int, Int)] =
-    chunks.iterator.flatMap(_.iterator.map(e => (Edge.src(e), Edge.dst(e))))
+    Iterator.range(0, n).flatMap { u =>
+      Iterator.range(offsets(u), offsets(u + 1)).map(targets(_)).filter(_ > u).map((u, _))
+    }
 
   def unregister(): Unit = SharedState.remove(HostGraph.key(id))
 }
@@ -121,11 +161,12 @@ object HostGraph {
     }
   }
 
-  /** Task `index`'s share of the vertices [0, n): a range whose slots plus
+  /** Task `index`'s share of the vertices [0, n) of a CSR whose vertex v
+    * owns slots [start(v), start(v + 1)): a range whose slots plus
     * vertices are about 1/size of all, found by binary search on
     * `start(v) + v`, which grows strictly with v.
     */
-  private def vertexShare(start: Array[Int], n: Int, index: Int, size: Int): (Int, Int) = {
+  def vertexShare(start: Array[Int], n: Int, index: Int, size: Int): (Int, Int) = {
     val total = start(n).toLong + n
     def first(bound: Long): Int = {
       var lo = 0; var hi = n
@@ -135,6 +176,33 @@ object HostGraph {
     (first(total * index / size), first(total * (index + 1) / size))
   }
 
+  /** [[HostGraph.packUpper]] over all vertices as gang rounds; one
+    * instance serves one gang run. Each task counts the edges of its
+    * [[vertexShare]], task 0 turns the counts into write offsets and
+    * allocates, then each task writes its edges at its offset, so the
+    * result is in sorted order. Every task returns the same array; ends
+    * in a barrier.
+    */
+  final class UpperPack(g: HostGraph) {
+    private var at: Array[Int] = _
+    private var out: Array[Long] = _
+
+    def apply(t: Par.Task, labels: Array[Int], skip: Int): Array[Long] = {
+      t.single { at = new Array[Int](t.size + 1) }
+      val (lo, hi) = vertexShare(g.offsets, g.n, t.index, t.size)
+      at(t.index + 1) = g.packUpper(lo, hi, null, 0, labels, skip)
+      t.sync()
+      t.single {
+        var k = 0
+        while (k < t.size) { at(k + 1) += at(k); k += 1 }
+        out = new Array[Long](at(t.size))
+      }
+      g.packUpper(lo, hi, out, at(t.index), labels, skip)
+      t.sync()
+      out
+    }
+  }
+
   /** The CSR build behind both intakes, as one gang job over the samples:
     *  1. each task counts both endpoints of its share of the samples in its
     *     own count array;
@@ -142,17 +210,13 @@ object HostGraph {
     *     turns each count array into that task's cursors;
     *  3. the tasks scatter both directions of their samples into the slots;
     *  4. each task sorts and dedupes, in place, the regions of its share of
-    *     the vertices ([[vertexShare]]), counting the neighbours above each
-    *     vertex;
-    *  5. task 0 takes the prefix sums of those counts and allocates the
-    *     output;
-    *  6. each task copies its regions into `targets` and emits its
-    *     vertices' upper neighbours as the sorted u < v list, cut into
-    *     `chunks`.
+    *     the vertices ([[vertexShare]]);
+    *  5. task 0 takes the prefix sums of the deduped degrees and allocates
+    *     `targets`;
+    *  6. each task copies its regions into `targets`.
     * Below [[Par.GrainSize]] samples plus vertices the gang is one task on
     * the calling thread. `n` is `max(nOverride, maxId + 1)` (maxId = 0
-    * with no edges) and the edge list is cut into [[Par.defaultChunks]]
-    * equal chunks, capped at one per edge.
+    * with no edges).
     *
     * The build uses only `sync` and `range` of [[Par.Task]], not
     * `forDynamic` or `single`: it runs before any kernel, and its lambdas
@@ -165,17 +229,13 @@ object HostGraph {
     val starts = parts.scanLeft(0L)(_ + _.size)
     val total = slotCount(starts.last) / 2
     val n = math.max(nOverride, parts.foldLeft(0)(_ max _.maxId) + 1)
-    val maxChunks = Par.defaultChunks(spark)
     val id = s"g${counter.incrementAndGet()}"
 
     val slots = new Array[Int](2 * total)
     val start = new Array[Int](n + 1)    // region of v: [start(v), start(v + 1))
     val offsets = new Array[Int](n + 1)
-    val upper = new Array[Int](n + 1)    // neighbours above v, then their prefix sums
     val counts = new Array[Array[Int]](Par.taskSlots(spark))
     var targets: Array[Int] = null
-    var chunks: Array[Array[Long]] = null
-    var per = 0
     Par.gang(spark, s"csr:$id", work = total.toLong + n) { t =>
       val cnt = new Array[Int](n)
       counts(t.index) = cnt
@@ -211,44 +271,30 @@ object HostGraph {
       while (v < vhi) {
         val s = start(v)
         java.util.Arrays.sort(slots, s, start(v + 1))
-        var w = s; var up = 0; var i = s
+        var w = s; var i = s
         while (i < start(v + 1)) {
           val x = slots(i)
-          if (w == s || slots(w - 1) != x) { slots(w) = x; w += 1; if (x > v) up += 1 }
+          if (w == s || slots(w - 1) != x) { slots(w) = x; w += 1 }
           i += 1
         }
-        offsets(v + 1) = w - s; upper(v + 1) = up
+        offsets(v + 1) = w - s
         v += 1
       }
       t.sync()
       if (t.index == 0) {
         var u = 0
-        while (u < n) { offsets(u + 1) += offsets(u); upper(u + 1) += upper(u); u += 1 }
+        while (u < n) { offsets(u + 1) += offsets(u); u += 1 }
         targets = new Array[Int](offsets(n))
-        val m = upper(n)
-        val nChunks = math.max(1, math.min(maxChunks, math.max(1, m)))
-        per = (m + nChunks - 1) / nChunks
-        chunks = Array.tabulate(nChunks) { c =>
-          val len = math.min(m, c * per + per) - c * per
-          if (len <= 0) Array.emptyLongArray else new Array[Long](len)
-        }
       }
       t.sync()
       v = vlo
       while (v < vhi) {
-        val d = offsets(v + 1) - offsets(v)
-        System.arraycopy(slots, start(v), targets, offsets(v), d)
-        var p = upper(v); var i = start(v) + d - (upper(v + 1) - p)
-        while (i < start(v) + d) {
-          val c = p / per
-          chunks(c)(p - c * per) = Edge.pack(v, slots(i))
-          p += 1; i += 1
-        }
+        System.arraycopy(slots, start(v), targets, offsets(v), offsets(v + 1) - offsets(v))
         v += 1
       }
     }
 
-    val g = new HostGraph(id, n, offsets, targets, chunks, (System.nanoTime() - t0) / 1e9)
+    val g = new HostGraph(id, n, offsets, targets, (System.nanoTime() - t0) / 1e9)
     SharedState.put(key(id), g)
     g
   }

@@ -71,8 +71,9 @@ final class Incremental(spark: SparkSession, n: Int, finish: FinishOpt) {
         }
       case other =>
         // Type 2: the round-synchronous algorithm over the batch's edges
+        // the kernel gets a copy: Alter variants rewrite their store
         val kernel = MinBased.edgeKernel(ctx, other, forestMode = false)
-        val store = chunked(updates, Par.defaultChunks(spark))
+        val store = updates.clone()
         kernel(_, store)
     }
     Par.gang(spark, ctx.id, work = updates.length.toLong + queries.length) { t =>
@@ -87,13 +88,6 @@ final class Incremental(spark: SparkSession, n: Int, finish: FinishOpt) {
     }
     results
   }
-
-  /** The batch in `nChunks` copied chunks (Alter variants mutate them). */
-  private def chunked(updates: Array[Long], nChunks: Int): Array[Array[Long]] =
-    Array.tabulate(nChunks) { i =>
-      val (lo, hi) = Par.range(updates.length, nChunks, i)
-      java.util.Arrays.copyOfRange(updates, lo, hi)
-    }
 
   /** Current connectivity labeling (resolved). */
   def labels: Array[Int] = ctx.resolveLabels()

@@ -6,7 +6,7 @@ import repro.core.Par
 
 /** The CSR builder against a Scala-collections oracle: the sorted
   * distinct u < v pairs of the samples (self-loops dropped), each vertex's
-  * sorted neighbours, and that pair list cut into equal chunks.
+  * sorted neighbours, and that pair list as packed by `upperEdges`.
   */
 class HostGraphSpec extends SparkSpec {
 
@@ -21,20 +21,18 @@ class HostGraphSpec extends SparkSpec {
     val n = math.max(nOverride, if (canon.isEmpty) 1 else canon.map(_._2).max + 1)
     val nbrs = (canon ++ canon.map(_.swap)).groupMap(_._1)(_._2)
     val adj = (0 until n).map(v => nbrs.getOrElse(v, Seq.empty).sorted)
-    val packed = canon.map { case (u, v) => Edge.pack(u, v) }
-    val nChunks = math.max(1, math.min(Par.defaultChunks(spark), packed.size))
-    val per = (packed.size + nChunks - 1) / nChunks
     assert(g.n == n)
     assert(g.offsets.toSeq == adj.scanLeft(0)(_ + _.size))
     assert(g.targets.toSeq == adj.flatten)
-    assert(g.chunks.map(_.toSeq).toSeq == (0 until nChunks).map(c => packed.slice(c * per, c * per + per)))
+    assert(g.upperEdges().toSeq == canon.map { case (u, v) => Edge.pack(u, v) })
+    assert(g.edgeIterator.toSeq == canon)
   }
 
   private def sameGraph(a: HostGraph, b: HostGraph): Unit = {
     assert(a.n == b.n)
     assert(a.offsets.sameElements(b.offsets))
     assert(a.targets.sameElements(b.targets))
-    assert(a.chunks.map(_.toSeq).toSeq == b.chunks.map(_.toSeq).toSeq)
+    assert(a.upperEdges().sameElements(b.upperEdges()))
   }
 
   private def withGraph(g: HostGraph)(f: HostGraph => Unit): Unit =
@@ -82,10 +80,10 @@ class HostGraphSpec extends SparkSpec {
     }
   }
 
-  test("an empty edge set gives one chunk and max(nOverride, 1) vertices") {
+  test("an empty edge set gives no edges and max(nOverride, 1) vertices") {
     withGraph(HostGraph.fromEdges(spark, df(Seq.empty, 2))) { g =>
       assertOracle(g, Seq.empty)
-      assert(g.n == 1 && g.m == 0 && g.chunks.length == 1)
+      assert(g.n == 1 && g.m == 0 && g.upperEdges().isEmpty)
     }
     withGraph(HostGraph.fromEdges(spark, df(Seq((4, 4)), 1), nOverride = 7)) { g =>
       assertOracle(g, Seq.empty, 7)
@@ -144,6 +142,27 @@ class HostGraphSpec extends SparkSpec {
     assert(SharedState.size == before)
     val e2 = intercept[IllegalArgumentException](HostGraph.fromArray(spark, 10, Array((1, 2), (-3, -3))))
     assert(e2.getMessage.contains("-3"))
+    assert(SharedState.size == before)
+  }
+
+  test("the gang pack with a label filter writes each task's edges at its prefix offset") {
+    val n = 5000
+    val samples = noisy(n, 80000, seed = 17)
+    // label 0 on every third vertex: edges between two of them are dropped
+    val labels = Array.tabulate(n)(v => if (v % 3 == 0) 0 else v)
+    val want = samples.collect { case (u, v) if u != v => (math.min(u, v), math.max(u, v)) }
+      .distinct.sorted.filterNot { case (u, v) => labels(u) == 0 && labels(v) == 0 }
+      .map { case (u, v) => Edge.pack(u, v) }
+    val before = SharedState.size
+    withGraph(HostGraph.fromArray(spark, n, samples.toArray)) { g =>
+      assert(g.m >= Par.GrainSize)
+      val pack = new HostGraph.UpperPack(g)
+      val out = new Array[Array[Long]](Par.taskSlots(spark))
+      Par.gang(spark, "pack-test") { t => out(t.index) = pack(t, labels, 0) }
+      assert(out.forall(_ eq out(0)), "every task returns the one packed array")
+      assert(out(0).toSeq == want)
+      assert(want.length < g.m)
+    }
     assert(SharedState.size == before)
   }
 
