@@ -53,8 +53,7 @@ object Amsf {
   def run(spark: SparkSession, g: HostGraph, w: Array[Double],
           eps: Double, variant: Variant): Result = {
     val t0 = System.nanoTime()
-    val ctx = RunCtx.create(g.n)
-    ctx.ensureForest()
+    val ctx = RunCtx.create(g.n, ufOpt, forest = true)
     try {
       val edges = g.upperEdges()
       var wmin = Double.MaxValue; var wmax = 0.0
@@ -160,8 +159,7 @@ object Amsf {
     */
   def boruvka(spark: SparkSession, g: HostGraph, w: Array[Double]): Result = {
     val t0 = System.nanoTime()
-    val ctx = RunCtx.create(g.n)
-    ctx.ensureForest()
+    val ctx = RunCtx.create(g.n, ufOpt, forest = true)
     try {
       val edges = g.upperEdges()
       val (es, _) = byWeight(edges, w)

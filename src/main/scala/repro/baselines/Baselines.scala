@@ -54,10 +54,8 @@ object Baselines {
                 depth: Int = 0): Array[Int] = {
     val ctx = RunCtx.create(g.n)
     try {
-      repro.core.sampling.LddSampling.sample(spark, g, ctx, beta, permute = false,
-        seed = 97 + depth)
-      ConnectIt.normalizeSampled(spark, ctx)
-      val clusters = ctx.labelsRaw
+      ConnectIt.sampleAndNormalize(spark, g, ctx, LddSampling(beta, seed = 97 + depth))
+      val clusters = ctx.sampled
       // contract: quotient edges between distinct cluster reps
       val repIds = new java.util.HashMap[Integer, Integer]()
       var v = 0

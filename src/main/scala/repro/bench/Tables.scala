@@ -266,7 +266,6 @@ object Tables {
     val ctx = RunCtx.create(g.n)
     try {
       val (_, t) = time(ConnectIt.sampleAndNormalize(spark, g, ctx, s))
-      ctx.snapshotSampled()
       val freq = ConnectIt.identifyFrequent(ctx.sampled)
       val (cov, ic) = ConnectIt.samplingQuality(spark, g, ctx, freq)
       f"$name%-4s ${s.name}%-26s time=${fmt(t)}s cov=${cov * 100}%.1f%% ic=${ic * 100}%.4f%%"

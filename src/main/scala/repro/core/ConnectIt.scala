@@ -31,7 +31,7 @@ object ConnectIt {
       maxPathLength: Int,
   )
 
-  /** Algorithm 1/2. `wantForest` requires a root-based finish method.
+  /** Algorithm 1/2. A forest of `finish` must pass [[Options.requireForest]].
     *
     * The whole run is one gang job ([[Par.gang]]): sampling,
     * normalization, frequent label, finish and label resolution are
@@ -44,28 +44,13 @@ object ConnectIt {
                    wantForest: Boolean = false,
                    instrument: Boolean = false,
                    sampleStats: Boolean = false): CCResult = {
-    require(!wantForest || isRootBased(finish),
-      s"${finish.name} is not root-based; spanning forest unsupported (3.4)")
-    // SpliceAtomic moves subtrees between trees without a root hook, so
-    // the edge witnessing a later hook may already be spanned — recording
-    // it can put a cycle in the forest (deviation from Theorem 7's
-    // sketch; see DESIGN.md). Use SplitAtomicOne / HalveAtomicOne.
-    require(!wantForest || (finish match {
-      case u: UnionFindOpt =>
-        !((u.alg == UfRemCas || u.alg == UfRemLock) && u.splice == SpliceAtomic)
-      case _ => true
-    }), s"${finish.name}: spanning forest requires a non-splice compression option")
-    val ctx = RunCtx.create(g.n)
+    val ctx = RunCtx.create(g.n, finish, wantForest, instrument)
     try {
-      ctx.instrument = instrument
-      if (wantForest) ctx.ensureForest()
       val phase1 = if (sampling == NoSampling) None else Some(new SamplePhase(g, ctx, sampling))
       // (task, frequentid) => finish rounds, ending in a barrier
       val finishStep: (Par.Task, Int) => Unit = finish match {
-        case u: UnionFindOpt =>
-          ctx.prepare(u, g.n.toLong * 7919)
-          unionFindFinish(_, g, ctx, u, _)
-        case other => MinBased.finish(g, ctx, other, wantForest)
+        case u: UnionFindOpt => unionFindFinish(_, g, ctx, u, _)
+        case other => MinBased.finish(g, ctx, other)
       }
       val clock = new Array[Long](3) // start, end of sampling, end of finish
       val labels = new Array[Int](g.n)
@@ -121,22 +106,25 @@ object ConnectIt {
     case NoSampling => _ => ()
   }
 
-  /** Phase 1 of Algorithm 1 as gang rounds: sampling, normalization with
-    * the post-sampling snapshot, and the frequent label.
+  /** Phase 1 of Algorithm 1 as gang rounds: sampling, normalization
+    * (which writes `ctx.sampled`) and the frequent label.
     */
   private final class SamplePhase(g: HostGraph, ctx: RunCtx, s: SamplingOpt) extends (Par.Task => Unit) {
     private val sample = samplingKernel(s, g, ctx)
-    private val normalize = new Normalize(ctx, snapshot = true)
+    private val normalize = new Normalize(ctx)
     val frequent = new FrequentLabel(ctx)
 
     def apply(t: Par.Task): Unit = { sample(t); normalize(t); frequent(t) }
   }
 
-  /** Sampling and normalization alone, in one gang job (Tables 6, 7). */
+  /** Sampling and normalization alone, in one gang job: the sampling
+    * phase for every caller outside [[connectivity]] (Tables 6, 7,
+    * WorkeffCC). The normalized labels are left in `ctx.sampled`.
+    */
   def sampleAndNormalize(spark: SparkSession, g: HostGraph, ctx: RunCtx,
                          s: SamplingOpt): Unit = {
     val sample = samplingKernel(s, g, ctx)
-    val normalize = new Normalize(ctx, snapshot = false)
+    val normalize = new Normalize(ctx)
     Par.gang(spark, ctx.id) { t => sample(t); normalize(t) }
   }
 
@@ -145,33 +133,34 @@ object ConnectIt {
     * labeling is height-1 trees rooted at minima (restores the
     * parent(x) <= x invariant the asynchronous finish methods need, see
     * DESIGN.md) and relocate forest slots so new roots have empty slots.
-    * Runs in its own gang job.
+    * Runs in its own gang job; a benchmark hook, as callers that run the
+    * sampling phase use [[sampleAndNormalize]].
     */
   def normalizeSampled(spark: SparkSession, ctx: RunCtx): Unit =
-    Par.gang(spark, ctx.id)(new Normalize(ctx, snapshot = false))
+    Par.gang(spark, ctx.id)(new Normalize(ctx))
 
-  /** Task-side normalization; with `snapshot` it also fills
-    * `ctx.sampled` with the normalized labels.
+  /** Task-side normalization; it also writes the normalized labels to
+    * `ctx.sampled`, which task 0 sets before the first barrier.
     */
-  private final class Normalize(ctx: RunCtx, snapshot: Boolean) extends (Par.Task => Unit) {
+  private final class Normalize(ctx: RunCtx) extends (Par.Task => Unit) {
     private val minRep = new AtomicIntegerArray(ctx.n)
-    if (snapshot) ctx.allocSampled()
+    private val labels = new Array[Int](ctx.n)
 
     def apply(t: Par.Task): Unit = {
       val p = ctx.parents
       val (lo, hi) = t.range(ctx.n)
       var v = lo
       while (v < hi) { minRep.set(v, Int.MaxValue); v += 1 }
+      if (t.index == 0) ctx.sampled = labels
       t.sync()
       v = lo
       while (v < hi) { AtomicOps.writeMin(minRep, p.get(v), v); v += 1 }
       t.sync()
-      val s = ctx.sampled
       v = lo
       while (v < hi) {
         val l = minRep.get(p.get(v))
         p.set(v, l)
-        if (snapshot) s(v) = l
+        labels(v) = l
         v += 1
       }
       // forest slot fix-up: old root l's cluster is now rooted at r; r's
@@ -211,7 +200,9 @@ object ConnectIt {
     best
   }
 
-  /** Frequent label of `ctx.sampled` in its own gang job. */
+  /** Frequent label of `ctx.sampled` in its own gang job: a benchmark
+    * hook, as [[connectivity]] runs [[FrequentLabel]] inside its own gang.
+    */
   def identifyFrequentPar(spark: SparkSession, ctx: RunCtx): Int = {
     val k = new FrequentLabel(ctx)
     Par.gang(spark, ctx.id)(k)

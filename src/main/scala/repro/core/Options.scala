@@ -3,14 +3,14 @@ package repro.core
 /** Algorithm-option algebra of the ConnectIt framework (Section 3, Alg 7).
   *
   * A connectivity run is `Connectivity(G, SamplingOpt, FinishOpt)`.
-  * Everything here is a small serializable value — options cross Spark
-  * task closures, the shared state does not.
+  * Everything here is a small immutable value; the combinations the
+  * framework cannot run are rejected here, before a run allocates state.
   */
 object Options {
 
   // ---------------------------------------------------------------- find
   /** Find options shared by the union-find family (Algorithm 8). */
-  sealed trait FindOpt extends Serializable { def name: String }
+  sealed trait FindOpt { def name: String }
   case object FindNaive       extends FindOpt { val name = "FindNaive" }
   case object FindAtomicSplit extends FindOpt { val name = "FindAtomicSplit" }
   case object FindAtomicHalve extends FindOpt { val name = "FindAtomicHalve" }
@@ -18,13 +18,13 @@ object Options {
 
   // -------------------------------------------------------------- splice
   /** Splice options used by Rem's algorithms at non-root steps (Alg 9). */
-  sealed trait SpliceOpt extends Serializable { def name: String }
+  sealed trait SpliceOpt { def name: String }
   case object SplitAtomicOne extends SpliceOpt { val name = "SplitAtomicOne" }
   case object HalveAtomicOne extends SpliceOpt { val name = "HalveAtomicOne" }
   case object SpliceAtomic   extends SpliceOpt { val name = "SpliceAtomic" }
 
   // ---------------------------------------------------------- union-find
-  sealed trait UfAlg extends Serializable { def name: String }
+  sealed trait UfAlg { def name: String }
   case object UfAsync   extends UfAlg { val name = "UF-Async" }
   case object UfHooks   extends UfAlg { val name = "UF-Hooks" }
   case object UfEarly   extends UfAlg { val name = "UF-Early" }
@@ -33,7 +33,7 @@ object Options {
   case object UfJtb     extends UfAlg { val name = "UF-JTB" }
 
   // ------------------------------------------------------- finish method
-  sealed trait FinishOpt extends Serializable { def name: String }
+  sealed trait FinishOpt { def name: String }
 
   /** One union-find variant. `splice` is ignored by non-Rem algorithms;
     * `find` is the compression option (for Rem's: compression applied to
@@ -44,14 +44,17 @@ object Options {
                                 splice: SpliceOpt = SplitAtomicOne) extends FinishOpt {
     require(!(splice == SpliceAtomic && find == FindCompress),
       "FindCompress + SpliceAtomic is an incorrect combination (Appendix B.2.3)")
+    private def rem = alg == UfRemCas || alg == UfRemLock
+    /** Rem's algorithm with SpliceAtomic (type 3 in streaming, 3.5). */
+    def splices: Boolean = rem && splice == SpliceAtomic
     def name: String = {
-      val s = if (alg == UfRemCas || alg == UfRemLock) s"/${splice.name}" else ""
+      val s = if (rem) s"/${splice.name}" else ""
       s"${alg.name}(${find.name}$s)"
     }
   }
 
   /** Liu-Tarjan connect-phase rule (Appendix D.4). */
-  sealed trait LtConnect extends Serializable
+  sealed trait LtConnect
   case object Connect         extends LtConnect // endpoints as candidates
   case object ParentConnect   extends LtConnect // parents as candidates
   case object ExtendedConnect extends LtConnect // parents for endpoints AND parents
@@ -100,11 +103,36 @@ object Options {
     case _                     => false
   }
 
+  /** Rejects a spanning-forest run of `f` (3.4): `f` must be root-based,
+    * and Rem's algorithms must not use SpliceAtomic, which moves subtrees
+    * between trees without a root hook, so the edge witnessing a later
+    * hook may already be spanned and recording it can put a cycle in the
+    * forest (a deviation from Theorem 7's sketch; see DESIGN.md). Use
+    * SplitAtomicOne / HalveAtomicOne.
+    */
+  def requireForest(f: FinishOpt): Unit = {
+    require(isRootBased(f), s"${f.name} is not root-based; spanning forest unsupported (3.4)")
+    require(f match {
+      case u: UnionFindOpt => !u.splices
+      case _ => true
+    }, s"${f.name}: spanning forest requires a non-splice compression option")
+  }
+
+  /** Rejects a streaming run of `f` (3.5): union-find variants, SV and
+    * the RootUp Liu-Tarjan variants support batch-incremental updates.
+    */
+  def requireStreaming(f: FinishOpt): Unit = require(f match {
+    case _: UnionFindOpt => true
+    case ShiloachVishkinOpt => true
+    case lt: LiuTarjanOpt => lt.rootUp
+    case _ => false
+  }, s"${f.name} does not support streaming (3.5)")
+
   // ------------------------------------------------------------ sampling
-  sealed trait SamplingOpt extends Serializable { def name: String }
+  sealed trait SamplingOpt { def name: String }
   case object NoSampling extends SamplingOpt { val name = "No Sampling" }
 
-  sealed trait KOutVariant extends Serializable { def name: String }
+  sealed trait KOutVariant { def name: String }
   case object KOutAfforest extends KOutVariant { val name = "kout-afforest" }
   case object KOutPure     extends KOutVariant { val name = "kout-pure" }
   case object KOutHybrid   extends KOutVariant { val name = "kout-hybrid" }

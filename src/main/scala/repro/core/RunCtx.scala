@@ -5,35 +5,71 @@ import repro.core.Options._
 import repro.graph.{Edge, SharedState}
 
 /** Mutable shared state of one connectivity run (the paper's shared
-  * memory): the parents array plus the auxiliary structures individual
-  * algorithms need. Gang bodies capture it directly; it is registered in
-  * [[SharedState]] by `id` so that a run that is not unregistered shows
-  * up as a leak.
+  * memory): the parents array plus the auxiliary arrays its finish
+  * method needs, all allocated once by [[RunCtx.create]] from the run's
+  * options, before any task starts. Gang bodies capture it directly; it
+  * is registered in [[SharedState]] only so that a run that is not
+  * unregistered shows up as a leak.
   */
-final class RunCtx(val id: String, val n: Int) {
+final class RunCtx private (val id: String, val n: Int, finish: FinishOpt, forestMode: Boolean,
+                            val instrument: Boolean) {
   /** Parents / connectivity labeling (Section 2). -1 is the sentinel
     * "smaller than every vertex id" label used when composing
     * non-monotone min-based finish methods with sampling (B.2.6).
     */
   val parents = new AtomicIntegerArray(Array.range(0, n))
 
-  /** Hooks array for UF-Hooks (Alg 11); -1 = unhooked. */
-  @volatile var hooks: AtomicIntegerArray = _
-  /** Spinlock words for UF-Rem-Lock (Alg 13). */
-  @volatile var locks: AtomicIntegerArray = _
-  /** Random priorities for UF-JTB linking. */
-  @volatile var prio: Array[Int] = _
-  /** Previous-round labels (SV, Stergiou, RootUp Liu-Tarjan). */
-  @volatile var prev: Array[Int] = _
-  /** Snapshot of labels right after sampling; finish methods skip
-    * vertices whose sampled label equals `frequentid`.
+  /** Hooks array for UF-Hooks (Alg 11); -1 = unhooked. Null otherwise. */
+  val hooks: AtomicIntegerArray = finish match {
+    case UnionFindOpt(UfHooks, _, _) =>
+      val h = new AtomicIntegerArray(n)
+      var i = 0; while (i < n) { h.set(i, -1); i += 1 }
+      h
+    case _ => null
+  }
+
+  /** Spinlock words for UF-Rem-Lock (Alg 13). Null otherwise. */
+  val locks: AtomicIntegerArray = finish match {
+    case UnionFindOpt(UfRemLock, _, _) => new AtomicIntegerArray(n)
+    case _ => null
+  }
+
+  /** Random priorities for UF-JTB linking: a permutation of the vertices
+    * drawn from the seed n * 7919. Null otherwise.
     */
-  @volatile var sampled: Array[Int] = _
-  /** Spanning-forest edge per tree root (Alg 2); -1 = empty slot. */
-  @volatile var forest: AtomicLongArray = _
+  val prio: Array[Int] = finish match {
+    case UnionFindOpt(UfJtb, _, _) =>
+      val r = new java.util.Random(n.toLong * 7919)
+      val p = Array.tabulate(n)(identity)
+      var i = n - 1
+      while (i > 0) { val j = r.nextInt(i + 1); val t = p(i); p(i) = p(j); p(j) = t; i -= 1 }
+      p
+    case _ => null
+  }
+
+  /** Previous-round labels (SV, Stergiou, RootUp Liu-Tarjan). Null otherwise. */
+  val prev: Array[Int] = finish match {
+    case ShiloachVishkinOpt | StergiouOpt => new Array[Int](n)
+    case lt: LiuTarjanOpt if lt.rootUp => new Array[Int](n)
+    case _ => null
+  }
+
+  /** Spanning-forest edge per tree root (Alg 2); -1 = empty slot. Null
+    * unless the run records a forest.
+    */
+  val forest: AtomicLongArray = if (!forestMode) null else {
+    val f = new AtomicLongArray(n)
+    var i = 0; while (i < n) { f.set(i, -1L); i += 1 }
+    f
+  }
+
+  /** The normalized labels right after sampling, written by
+    * normalization; finish methods skip vertices whose sampled label
+    * equals `frequentid`. Null until a sampling phase has run.
+    */
+  var sampled: Array[Int] = _
 
   // -------- instrumentation (Section 4.1.1: TPL / MPL analysis) --------
-  @volatile var instrument: Boolean = false
   val totalPathLength = new LongAdder
   val maxPathLength = new AtomicInteger(0)
 
@@ -43,51 +79,13 @@ final class RunCtx(val id: String, val n: Int) {
     while (len > cur && !maxPathLength.compareAndSet(cur, len)) cur = maxPathLength.get()
   }
 
-  /** Allocate what the union-find finish `u` needs: hooks for UF-Hooks,
-    * lock words for UF-Rem-Lock, and for UF-JTB a random priority
-    * permutation drawn from `seed`.
+  /** Copy current parents into `sampled` on the calling thread (a
+    * benchmark hook; normalization already writes `sampled`).
     */
-  def prepare(u: UnionFindOpt, seed: Long): Unit = u.alg match {
-    case UfHooks =>
-      val h = new AtomicIntegerArray(n)
-      var i = 0; while (i < n) { h.set(i, -1); i += 1 }
-      hooks = h
-    case UfRemLock => locks = new AtomicIntegerArray(n)
-    case UfJtb =>
-      val r = new java.util.Random(seed)
-      val p = Array.tabulate(n)(identity)
-      var i = n - 1
-      while (i > 0) { val j = r.nextInt(i + 1); val t = p(i); p(i) = p(j); p(j) = t; i -= 1 }
-      prio = p
-    case _ => ()
-  }
-
-  def ensurePrev(): Unit = if (prev == null) synchronized {
-    if (prev == null) prev = new Array[Int](n)
-  }
-
-  def ensureForest(): Unit = if (forest == null) synchronized {
-    if (forest == null) {
-      val f = new AtomicLongArray(n)
-      var i = 0; while (i < n) { f.set(i, -1L); i += 1 }
-      forest = f
-    }
-  }
-
-  /** Copy current parents into `sampled` (post-sampling snapshot). */
   def snapshotSampled(): Unit = {
     val s = new Array[Int](n)
     var i = 0; while (i < n) { s(i) = parents.get(i); i += 1 }
     sampled = s
-  }
-
-  def allocSampled(): Unit = { sampled = new Array[Int](n) }
-
-  /** Current labels as a plain array (no resolution). */
-  def labelsRaw: Array[Int] = {
-    val out = new Array[Int](n)
-    var i = 0; while (i < n) { out(i) = parents.get(i); i += 1 }
-    out
   }
 
   /** Resolve every vertex to its tree root: the final labeling. */
@@ -131,9 +129,17 @@ object RunCtx {
   private val counter = new AtomicLong(0)
   private def key(id: String) = s"ctx:$id"
 
-  def create(n: Int): RunCtx = {
+  /** The shared state of a run on `n` vertices whose finish method is
+    * `finish`, recording a spanning forest if `forest` and path lengths
+    * if `instrument`. The defaults allocate no auxiliary array: the
+    * default finish is UF-Rem-CAS, the union-find that k-out sampling
+    * runs. A forest of `finish` must pass [[Options.requireForest]].
+    */
+  def create(n: Int, finish: FinishOpt = UnionFindOpt(UfRemCas), forest: Boolean = false,
+             instrument: Boolean = false): RunCtx = {
+    if (forest) requireForest(finish)
     val id = s"ctx${counter.incrementAndGet()}"
-    val c = new RunCtx(id, n)
+    val c = new RunCtx(id, n, finish, forest, instrument)
     SharedState.put(key(id), c)
     c
   }

@@ -20,8 +20,10 @@ import repro.graph.{Edge, HostGraph}
   * spread to everything reachable.
   *
   * Spanning-forest mode (root-based variants only: RootUp Liu-Tarjan and
-  * SV) replaces writeMin hooking with a hook-once CAS at the root so each
-  * tree merge records exactly one forest edge (see DESIGN.md).
+  * SV; on when the run's context holds forest slots) replaces writeMin
+  * hooking with a hook-once CAS at the root so each tree merge records
+  * exactly one forest edge (see DESIGN.md). The kernels' `prev` array is
+  * allocated with the context ([[RunCtx.create]]).
   */
 object MinBased {
   private val RoundCap = 100000 // safety net against a non-converging rule
@@ -34,10 +36,10 @@ object MinBased {
   trait EdgeKernel { def apply(t: Par.Task, store: Array[Long]): Unit }
 
   /** The edge kernel of SV or a Liu-Tarjan variant (streaming batches). */
-  def edgeKernel(ctx: RunCtx, f: FinishOpt, forestMode: Boolean): EdgeKernel = f match {
-    case lt: LiuTarjanOpt => new LiuTarjan(ctx, lt, forestMode)
+  def edgeKernel(ctx: RunCtx, f: FinishOpt): EdgeKernel = f match {
+    case lt: LiuTarjanOpt => new LiuTarjan(ctx, lt)
     case StergiouOpt => new Stergiou(ctx)
-    case ShiloachVishkinOpt => new ShiloachVishkin(ctx, forestMode)
+    case ShiloachVishkinOpt => new ShiloachVishkin(ctx)
     case other => throw new IllegalArgumentException(s"${other.name} has no edge kernel")
   }
 
@@ -47,7 +49,7 @@ object MinBased {
     * internal to the frequent component; a fresh array each run, which
     * Alter variants may mutate), then run the kernel. Ends in a barrier.
     */
-  def finish(g: HostGraph, ctx: RunCtx, f: FinishOpt, forestMode: Boolean): (Par.Task, Int) => Unit =
+  def finish(g: HostGraph, ctx: RunCtx, f: FinishOpt): (Par.Task, Int) => Unit =
     f match {
       case LabelPropOpt =>
         val lp = new LabelProp(g, ctx)
@@ -56,7 +58,7 @@ object MinBased {
           lp(t)
         }
       case _ =>
-        val kernel = edgeKernel(ctx, f, forestMode)
+        val kernel = edgeKernel(ctx, f)
         val pack = new HostGraph.UpperPack(g)
         (t, frequentid) => {
           // the pack reads only `sampled`, so it may overlap the sentinel
@@ -88,11 +90,7 @@ object MinBased {
     * snapshot of each vertex's final label) and, for Alter variants, an
     * alter phase over the edges.
     */
-  final class LiuTarjan(ctx: RunCtx, opt: LiuTarjanOpt, forestMode: Boolean) extends EdgeKernel {
-    require(!forestMode || (opt.rootUp && !opt.alter),
-      "forest requires a RootUp, non-Alter variant (3.4; Alter rewrites " +
-      "edge endpoints to labels, so altered edges are not graph edges)")
-    if (opt.rootUp) ctx.ensurePrev()
+  final class LiuTarjan(ctx: RunCtx, opt: LiuTarjanOpt) extends EdgeKernel {
     private val progress = new Par.Progress
     private val connectTag = opt.connect match {
       case Connect => 0; case ParentConnect => 1; case ExtendedConnect => 2
@@ -116,15 +114,15 @@ object MinBased {
     private def connect(arr: Array[Long], lo: Int, hi: Int, r: Int): Unit = {
       val p = ctx.parents
       val prev = ctx.prev
+      val fo = ctx.forest
       val rootUp = opt.rootUp
       // eu/ev: the original graph edge being applied (forest recording)
       @inline def upd(x: Int, cand: Int, eu: Int, ev: Int): Unit = {
         if (x >= 0 && cand < x) {
-          if (forestMode) {
+          if (fo != null) {
             // hook-once at the root: one forest edge per tree merge
             if (p.compareAndSet(x, x, cand)) {
-              val fo = ctx.forest
-              if (fo != null) fo.set(x, Edge.pack(eu, ev))
+              fo.set(x, Edge.pack(eu, ev))
               progress.mark(r)
             }
           } else if (rootUp) {
@@ -213,7 +211,6 @@ object MinBased {
     * round's snapshot (B.2.5).
     */
   final class Stergiou(ctx: RunCtx) extends EdgeKernel {
-    ctx.ensurePrev()
     private val progress = new Par.Progress
 
     def apply(t: Par.Task, store: Array[Long]): Unit = {
@@ -256,13 +253,13 @@ object MinBased {
   /** Algorithm 15: per round, hook roots via the lowest incident label,
     * then fully shortcut every vertex; prev tracks last round's labels.
     */
-  final class ShiloachVishkin(ctx: RunCtx, forestMode: Boolean) extends EdgeKernel {
-    ctx.ensurePrev()
+  final class ShiloachVishkin(ctx: RunCtx) extends EdgeKernel {
     private val progress = new Par.Progress
 
     def apply(t: Par.Task, store: Array[Long]): Unit = {
       val p = ctx.parents
       val prev = ctx.prev
+      val fo = ctx.forest
       snapshotPrev(t, ctx)
       val (vlo, vhi) = t.range(ctx.n)
       var round = 0
@@ -277,10 +274,9 @@ object MinBased {
             if (pu != pv) {
               val l = math.min(pu, pv); val h = math.max(pu, pv)
               if (h >= 0 && prev(h) == h) {
-                if (forestMode) {
+                if (fo != null) {
                   if (p.compareAndSet(h, h, l)) {
-                    val fo = ctx.forest
-                    if (fo != null) fo.set(h, Edge.pack(u, v))
+                    fo.set(h, Edge.pack(u, v))
                     progress.mark(r)
                   }
                 } else if (writeMin(p, h, l)) progress.mark(r)

@@ -1,7 +1,6 @@
 package repro.core.sampling
 
 import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.sql.SparkSession
 import repro.core.{Par, RunCtx}
 import repro.graph.{Edge, GraphGen, HostGraph}
 
@@ -56,20 +55,9 @@ final class Frontier(val n: Int) {
   */
 object BfsSampling {
 
-  /** Run sampling in its own gang job; returns true iff a big component
-    * was found.
-    */
-  def sample(spark: SparkSession, g: HostGraph, ctx: RunCtx,
-             c: Int, seed: Long): Boolean = {
-    val k = new Kernel(g, ctx, c, seed)
-    Par.gang(spark, ctx.id)(k)
-    k.found
-  }
-
-  /** Task-side sampling kernel; `found` is set once it has run. */
+  /** Task-side sampling kernel. */
   final class Kernel(g: HostGraph, ctx: RunCtx, c: Int, seed: Long) extends (Par.Task => Unit) {
     private val bfs = new Bfs(g, ctx)
-    @volatile var found = false
 
     def apply(t: Par.Task): Unit = {
       val n = g.n
@@ -89,7 +77,6 @@ object BfsSampling {
         else reset(t)
         tr += 1
       }
-      if (t.index == 0) found = done
     }
 
     /** Reset labels (and forest slots) to pristine state (failed try). */

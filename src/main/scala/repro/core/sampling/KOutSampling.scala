@@ -16,7 +16,9 @@ import repro.graph.{GraphGen, HostGraph}
   */
 object KOutSampling {
 
-  /** Run k-out sampling in its own gang job. */
+  /** Run k-out sampling in its own gang job: a benchmark hook, as
+    * callers that run the sampling phase use `ConnectIt.sampleAndNormalize`.
+    */
   def sample(spark: SparkSession, g: HostGraph, ctx: RunCtx,
              k: Int, variant: KOutVariant, seed: Long): Unit =
     Par.gang(spark, ctx.id)(kernel(g, ctx, k, variant, seed))

@@ -19,7 +19,9 @@ import repro.graph.{Edge, GraphGen, HostGraph}
   */
 object LddSampling {
 
-  /** Run LDD sampling in its own gang job. */
+  /** Run LDD sampling in its own gang job: a benchmark hook, as callers
+    * that run the sampling phase use `ConnectIt.sampleAndNormalize`.
+    */
   def sample(spark: SparkSession, g: HostGraph, ctx: RunCtx,
              beta: Double, permute: Boolean, seed: Long): Unit =
     Par.gang(spark, ctx.id)(new Kernel(g, ctx, beta, permute, seed))

@@ -36,14 +36,6 @@ object UnionFind {
   /** Find for queries (streaming ISCONNECTED). */
   def find(ctx: RunCtx, opt: UnionFindOpt, u: Int): Int = opt.alg match {
     case UfJtb => if (opt.find == FindNaive) findNaive(ctx, u) else findTwoTrySplit(ctx, u)
-    case UfRemCas | UfRemLock =>
-      // Rem's compression options reuse the shared find operators
-      opt.find match {
-        case FindNaive       => findNaive(ctx, u)
-        case FindAtomicSplit => findAtomicSplit(ctx, u)
-        case FindAtomicHalve => findAtomicHalve(ctx, u)
-        case FindCompress    => findCompress(ctx, u)
-      }
     case _ => AtomicOps.find(ctx, opt.find, u)
   }
 

@@ -91,32 +91,6 @@ object GraphGen {
     ).select(col("e.u"), col("e.v"))
   }
 
-  /** d-dimensional torus on ~n vertices (side = floor(n^(1/d))); each
-    * vertex links to its +1 neighbour along every dimension (Figure 4b's
-    * graph family). Returns side^d vertices.
-    */
-  def torus(spark: SparkSession, n: Long, d: Int): DataFrame = {
-    import spark.implicits._
-    val side = math.max(2, math.pow(n.toDouble, 1.0 / d).toInt)
-    val total = (0 until d).foldLeft(1L)((acc, _) => acc * side)
-    spark.range(total).as[Long].flatMap { id =>
-      // decode mixed-radix coordinates, emit +1 edge per dimension
-      (0 until d).iterator.map { dim =>
-        var rem = id; var stride = 1L; var coord = 0L
-        var k = 0
-        while (k < d) {
-          val c = rem % side
-          if (k == dim) coord = c
-          if (k < dim) stride *= side
-          rem /= side
-          k += 1
-        }
-        val nb = id - coord * stride + ((coord + 1) % side) * stride
-        (id.toInt, nb.toInt)
-      }
-    }.toDF("u", "v")
-  }
-
   /** Barabási–Albert preferential attachment: n vertices, each new vertex
     * adds d edges to endpoints of previously placed edge slots (the
     * standard O(m) trick: a uniformly random prior slot endpoint is a
@@ -157,9 +131,7 @@ object GraphGen {
       i += 1
     }
     spark.sparkContext.parallelize(edges.toIndexedSeq, math.max(1, spark.sparkContext.defaultParallelism))
-      .toDF("p").select(
-        shiftright(col("p"), 32).cast("int").as("u"),
-        col("p").bitwiseAND(lit(0xffffffffL)).cast("int").as("v"))
+      .map(e => (Edge.src(e), Edge.dst(e))).toDF("u", "v")
   }
 
   /** Web-graph-like input: an RMAT core plus `isolatedFrac` extra isolated

@@ -22,7 +22,7 @@ final class HostGraph private (
     val offsets: Array[Int],  // length n + 1
     val targets: Array[Int],  // length 2m
     val loadTimeSec: Double,
-) extends Serializable {
+) {
 
   def m: Long = targets.length / 2L
 

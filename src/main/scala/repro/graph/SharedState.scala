@@ -9,11 +9,12 @@ import java.util.concurrent.ConcurrentHashMap
   * task executes in the driver JVM, so Spark task threads can play the
   * role of the paper's threads — provided the shared objects are
   * reachable without being captured (and thus copied) by task closures.
-  * This registry is that reach-around: a gang run (`Par.gang`) registers
-  * its body under one key, and each task, whose closure carries only the
-  * key, fetches the body, which holds the run's arrays directly. Graphs
-  * and run contexts register too, so tests can check that a run leaves
-  * nothing behind.
+  * This registry is that reach-around: a gang run (`Par.gang`) or a
+  * per-partition intake job (`Par.eachPartition`) registers its body
+  * under one key, and each task, whose closure carries only the key,
+  * fetches the body, which holds the run's arrays directly. Graphs and
+  * run contexts register only so that tests can check that a run leaves
+  * nothing behind; no task looks them up.
   *
   * This is a deliberate, documented substitution (see DESIGN.md): it is
   * only valid in local mode, which is exactly the paper's setting (a

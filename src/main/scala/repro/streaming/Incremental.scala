@@ -24,18 +24,9 @@ import repro.graph.Edge
   * it runs on the calling thread as a gang of one.
   */
 final class Incremental(spark: SparkSession, n: Int, finish: FinishOpt) {
-  require(finish match {
-    case _: UnionFindOpt => true
-    case ShiloachVishkinOpt => true
-    case lt: LiuTarjanOpt => lt.rootUp
-    case _ => false
-  }, s"${finish.name} does not support streaming (3.5)")
+  requireStreaming(finish)
 
-  private val ctx = RunCtx.create(n)
-  finish match {
-    case u: UnionFindOpt => ctx.prepare(u, n.toLong * 104729)
-    case _ => ()
-  }
+  private val ctx = RunCtx.create(n, finish)
 
   /** The root of `x`'s tree: the algorithm's own find for union-find,
     * else a walk up the parents (min-based labels have no sentinel here).
@@ -58,7 +49,7 @@ final class Incremental(spark: SparkSession, n: Int, finish: FinishOpt) {
       case u: UnionFindOpt =>
         // Type 1 answers this task's queries right after its updates,
         // fully concurrently; Type 3 waits for every update first.
-        val phased = u.splice == SpliceAtomic && (u.alg == UfRemCas || u.alg == UfRemLock)
+        val phased = u.splices
         t => {
           val (lo, hi) = t.range(updates.length)
           var j = lo
@@ -72,7 +63,7 @@ final class Incremental(spark: SparkSession, n: Int, finish: FinishOpt) {
       case other =>
         // Type 2: the round-synchronous algorithm over the batch's edges
         // the kernel gets a copy: Alter variants rewrite their store
-        val kernel = MinBased.edgeKernel(ctx, other, forestMode = false)
+        val kernel = MinBased.edgeKernel(ctx, other)
         val store = updates.clone()
         kernel(_, store)
     }

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.core.Options._
-import repro.graph.Reference
+import repro.graph.{Reference, SharedState}
 
 /** Full framework composition: every sampling scheme combined with a
   * representative of every finish family (Algorithm 1), plus
@@ -147,7 +147,7 @@ class ConnectItSpec extends SparkSpec {
     for (_ <- 0 until 20) {
       val ctx = RunCtx.create(n)
       try {
-        ctx.allocSampled()
+        ctx.sampled = new Array[Int](n)
         var v = 0
         while (v < n) { ctx.sampled(v) = if (v >= n - n / 5) big else v; v += 1 }
         assert(ConnectIt.identifyFrequentPar(spark, ctx) == big)
@@ -160,5 +160,17 @@ class ConnectItSpec extends SparkSpec {
     assertThrows[IllegalArgumentException] {
       ConnectIt.connectivity(spark, g, NoSampling, LabelPropOpt, wantForest = true)
     }
+  }
+
+  test("forest request on LT-CRFA is rejected before any state or job") {
+    val g = TestGraphs.rmat(spark)
+    val crfa = LiuTarjanOpt(Connect, rootUp = true, fullShortcut = true, alter = true)
+    val base = SharedState.size
+    assert(jobsOf {
+      assertThrows[IllegalArgumentException] {
+        ConnectIt.connectivity(spark, g, KOutSampling(), crfa, wantForest = true)
+      }
+    } == 0)
+    assert(SharedState.size == base)
   }
 }

@@ -24,17 +24,9 @@ class SamplingSpec extends SparkSpec {
     val (_, g, ref) = TestGraphs.suite(spark).find(_._1 == gname).get
     val ctx = RunCtx.create(g.n)
     try {
-      s match {
-        case KOutSampling(k, v, seed) =>
-          repro.core.sampling.KOutSampling.sample(spark, g, ctx, k, v, seed)
-        case BfsSampling(c, seed) =>
-          repro.core.sampling.BfsSampling.sample(spark, g, ctx, c, seed)
-        case LddSampling(b, p, seed) =>
-          repro.core.sampling.LddSampling.sample(spark, g, ctx, b, p, seed)
-        case NoSampling => fail()
-      }
-      ConnectIt.normalizeSampled(spark, ctx)
-      val labels = ctx.labelsRaw
+      ConnectIt.sampleAndNormalize(spark, g, ctx, s)
+      val labels = ctx.sampled
+      assert((0 until g.n).forall(v => ctx.parents.get(v) == labels(v)))
       // Requirement (1): height-1 trees rooted at their own minimum.
       labels.zipWithIndex.foreach { case (l, v) =>
         assert(labels(l) == l, s"root of $v's tree ($l) is not a self-loop")
@@ -76,9 +68,8 @@ class SamplingSpec extends SparkSpec {
     val g = repro.graph.HostGraph.fromArray(spark, n, edges.toArray)
     try {
       for (_ <- 0 until 5) {
-        val ctx = RunCtx.create(n)
+        val ctx = RunCtx.create(n, forest = true)
         try {
-          ctx.ensureForest()
           val bfs = new repro.core.sampling.BfsSampling.Bfs(g, ctx)
           val covered = new java.util.concurrent.atomic.AtomicIntegerArray(1)
           Par.gang(spark, "wide-bfs") { t =>

@@ -35,12 +35,6 @@ class GraphGenSpec extends SparkSpec {
     assert(Reference.numComponents(ref) == 1)
   }
 
-  test("d-dimensional torus has n*d undirected edges for side > 2") {
-    val g = HostGraph.fromEdges(spark, GraphGen.torus(spark, 81, 2))
-    assert(g.n == 81)  // side 9
-    assert(g.m == 81L * 2)
-  }
-
   test("barabasiAlbert has (n-d)*d edge samples and is connected") {
     val g = HostGraph.fromEdges(spark, GraphGen.barabasiAlbert(spark, 500, 3))
     assert(Reference.numComponents(Reference.cc(g)) == 1)

@@ -3,7 +3,7 @@ package repro.streaming
 import repro.SparkSpec
 import repro.core.Par
 import repro.core.Options._
-import repro.graph.{Edge, GraphGen, Reference}
+import repro.graph.{Edge, GraphGen, Reference, SharedState}
 
 /** Batch-incremental streaming (Section 3.5 / B.4): after every batch,
   * the maintained labeling must equal static connectivity of the prefix;
@@ -131,6 +131,14 @@ class StreamingSpec extends SparkSpec {
     assertThrows[IllegalArgumentException] {
       new Incremental(spark, 10, LabelPropOpt)
     }
+  }
+
+  test("streaming with Stergiou is rejected before any state or job") {
+    val base = SharedState.size
+    assert(jobsOf {
+      assertThrows[IllegalArgumentException] { new Incremental(spark, 10, StergiouOpt) }
+    } == 0)
+    assert(SharedState.size == base)
   }
 
   test("StingerLike maintains correct components") {
