@@ -44,6 +44,13 @@ object TestGraphs {
   def pathDesc(spark: SparkSession): HostGraph =
     get("path-desc")(HostGraph.fromArray(spark, 300, Array.tabulate(299)(i => (299 - i, 298 - i))))
 
+  /** Uniform n = 2^15 with 3n samples: more CSR slots than
+    * [[repro.core.Par.GrainSize]], so its gang passes split across tasks,
+    * and sparse enough that sampling leaves inter-component edges.
+    */
+  def large(spark: SparkSession): HostGraph =
+    get("large")(HostGraph.fromEdges(spark, GraphGen.uniform(spark, 1 << 15, 3L << 15, seed = 3), nOverride = 1 << 15))
+
   /** Suite of (name, graph, reference labels) used by cross-product tests. */
   def suite(spark: SparkSession): Seq[(String, HostGraph, Array[Int])] = {
     val gs = Seq(
