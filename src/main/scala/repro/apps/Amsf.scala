@@ -139,14 +139,16 @@ object Amsf {
     } finally ctx.unregister()
   }
 
-  /** Sum weights of the recorded forest edges, each found by binary
-    * search in the sorted edge list `edges` (`w` parallel to it).
+  /** Sum weights of the recorded forest edges: each packed forest slot
+    * is an edge of the sorted `edges` (`w` parallel to it) or empty (-1).
     */
   private def forestWeight(edges: Array[Long], w: Array[Double], ctx: RunCtx): (Double, Int) = {
     var sum = 0.0; var cnt = 0
-    ctx.forestEdges.foreach { case (u, v) =>
-      val i = java.util.Arrays.binarySearch(edges, Edge.pack(math.min(u, v), math.max(u, v)))
+    var v = 0
+    while (v < ctx.n) {
+      val i = java.util.Arrays.binarySearch(edges, ctx.forest.get(v))
       if (i >= 0) { sum += w(i); cnt += 1 }
+      v += 1
     }
     (sum, cnt)
   }

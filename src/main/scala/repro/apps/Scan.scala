@@ -24,12 +24,12 @@ object Scan {
 
   /** Build the similarity index with a parallel merge-intersection over
     * the sorted CSR adjacency (the GS*-Index construction step), in one
-    * gang job.
+    * gang job over slot blocks.
     */
   def buildIndex(spark: SparkSession, g: HostGraph): Index = {
     val sim = new Array[Double](g.targets.length)
     Par.gang(spark, s"scan-index:${g.id}") { t =>
-      t.forDynamic(g.n) { (lo, hi) =>
+      g.forSlotBlocks(t) { (lo, hi) =>
         var u = lo
         while (u < hi) {
           val du = g.degree(u)
@@ -123,7 +123,7 @@ object Scan {
       val opt = UnionFindOpt(UfRemCas, FindNaive, SplitAtomicOne)
       val labels = new Array[Int](g.n)
       Par.gang(spark, ctx.id) { t =>
-        t.forDynamic(g.n) { (lo, hi) =>
+        g.forSlotBlocks(t) { (lo, hi) =>
           var u = lo
           while (u < hi) {
             if (core(u)) {

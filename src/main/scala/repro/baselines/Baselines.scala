@@ -4,7 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.core.{ConnectIt, Par, RunCtx}
 import repro.core.Options._
 import repro.core.sampling.BfsSampling
-import repro.graph.{Edge, HostGraph}
+import repro.graph.HostGraph
 
 /** The "Other Systems" comparators of Table 3, reimplemented inside this
   * repo (the paper likewise implemented BFSCC and WorkeffCC in its own
@@ -56,37 +56,32 @@ object Baselines {
     try {
       ConnectIt.sampleAndNormalize(spark, g, ctx, LddSampling(beta, seed = 97 + depth))
       val clusters = ctx.sampled
-      // contract: quotient edges between distinct cluster reps
-      val repIds = new java.util.HashMap[Integer, Integer]()
+      // number the clusters densely, in ascending order of their labels;
+      // a cluster's label is its minimum member, the one vertex labeled itself
+      val reps = Array.range(0, g.n).filter(v => clusters(v) == v)
+      val dense = new Array[Int](g.n)
+      reps.indices.foreach(i => dense(reps(i)) = i)
+      // quotient edges: the upper edges between distinct clusters; the CSR
+      // build drops the duplicates among them
+      val quotient = Array.newBuilder[(Int, Int)]
       var v = 0
       while (v < g.n) {
-        val c = clusters(v)
-        if (!repIds.containsKey(c)) repIds.put(c, repIds.size())
+        val cv = dense(clusters(v))
+        var j = g.upperStart(v)
+        while (j < g.offsets(v + 1)) {
+          val cw = dense(clusters(g.targets(j)))
+          if (cw != cv) quotient += ((cv, cw))
+          j += 1
+        }
         v += 1
       }
-      val quotient = new java.util.HashSet[Long]()
-      g.edgeIterator.foreach { case (a, b) =>
-        val ca = repIds.get(clusters(a)).intValue()
-        val cb = repIds.get(clusters(b)).intValue()
-        if (ca != cb) {
-          val lo = math.min(ca, cb); val hi = math.max(ca, cb)
-          quotient.add(Edge.pack(lo, hi))
-        }
-      }
-      if (quotient.isEmpty) clusters
+      val qEdges = quotient.result()
+      if (qEdges.isEmpty) clusters
       else {
-        val qEdges = new Array[(Int, Int)](quotient.size())
-        val it = quotient.iterator(); var i = 0
-        while (it.hasNext) {
-          val p = it.next()
-          qEdges(i) = (Edge.src(p), Edge.dst(p)); i += 1
-        }
-        val qg = HostGraph.fromArray(spark, repIds.size(), qEdges)
+        val qg = HostGraph.fromArray(spark, reps.length, qEdges)
         val sub = try workEffCC(spark, qg, beta, depth + 1) finally qg.unregister()
-        // compose: label(v) = sub(rep(cluster(v))), mapped back to a vertex id
-        val inv = new Array[Int](repIds.size())
-        repIds.forEach((clu, rep) => inv(rep.intValue()) = clu.intValue())
-        Array.tabulate(g.n)(v => inv(sub(repIds.get(clusters(v)).intValue())))
+        // compose: label(v) = the representative of its cluster's quotient label
+        Array.tabulate(g.n)(v => reps(sub(dense(clusters(v)))))
       }
     } finally ctx.unregister()
   }

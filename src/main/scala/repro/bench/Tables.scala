@@ -300,22 +300,19 @@ object Tables {
     emit(rows)
   }
 
-  /** Sum of `share(lo, hi)` over the tasks' static shares of the
-    * vertices, as one gang job.
+  /** Sum of `block(lo, hi)` over the slot blocks of `g`
+    * ([[HostGraph.forSlotBlocks]]), as one gang job.
     */
-  private def sumOverVertices(spark: SparkSession, g: HostGraph, run: String)
-                             (share: (Int, Int) => Long): Long = {
+  private def sumOverSlotBlocks(spark: SparkSession, g: HostGraph, run: String)
+                               (block: (Int, Int) => Long): Long = {
     val sum = new AtomicLong(0)
-    Par.gang(spark, s"$run:${g.id}") { t =>
-      val (lo, hi) = t.range(g.n)
-      sum.addAndGet(share(lo, hi))
-    }
+    Par.gang(spark, s"$run:${g.id}") { t => g.forSlotBlocks(t)((lo, hi) => sum.addAndGet(block(lo, hi))) }
     sum.get()
   }
 
   /** Reduce +1 over every directed edge (reads the CSR sequentially). */
   def mapEdges(spark: SparkSession, g: HostGraph): Long =
-    sumOverVertices(spark, g, "map-edges") { (lo, hi) =>
+    sumOverSlotBlocks(spark, g, "map-edges") { (lo, hi) =>
       var s = 0L
       var v = lo
       while (v < hi) { s += g.degree(v); v += 1 }
@@ -324,7 +321,7 @@ object Tables {
 
   /** Indirect read per directed edge (degree of the neighbour). */
   def gatherEdges(spark: SparkSession, g: HostGraph): Long =
-    sumOverVertices(spark, g, "gather-edges") { (lo, hi) =>
+    sumOverSlotBlocks(spark, g, "gather-edges") { (lo, hi) =>
       var s = 0L
       var v = lo
       while (v < hi) {

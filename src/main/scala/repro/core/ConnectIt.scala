@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicIntegerArray
+import java.util.concurrent.atomic.{AtomicIntegerArray, AtomicLong}
 import org.apache.spark.sql.SparkSession
 import repro.core.Options._
 import repro.core.minbased.MinBased
@@ -129,18 +129,18 @@ object ConnectIt {
   }
 
   // ------------------------------------------------------- normalization
-  /** Remap every sampled cluster's label to its minimum member, so the
-    * labeling is height-1 trees rooted at minima (restores the
-    * parent(x) <= x invariant the asynchronous finish methods need, see
-    * DESIGN.md) and relocate forest slots so new roots have empty slots.
-    * Runs in its own gang job; a benchmark hook, as callers that run the
-    * sampling phase use [[sampleAndNormalize]].
+  /** [[Normalize]] in its own gang job; a benchmark hook, as callers
+    * that run the sampling phase use [[sampleAndNormalize]].
     */
   def normalizeSampled(spark: SparkSession, ctx: RunCtx): Unit =
     Par.gang(spark, ctx.id)(new Normalize(ctx))
 
-  /** Task-side normalization; it also writes the normalized labels to
-    * `ctx.sampled`, which task 0 sets before the first barrier.
+  /** Task-side normalization: remap every sampled tree's label to its
+    * minimum member, so the labeling is height-1 trees rooted at minima
+    * (restores the parent(x) <= x invariant the asynchronous finish
+    * methods need, see DESIGN.md), and relocate forest slots so new roots
+    * have empty slots. The labels go to `ctx.sampled`, which task 0 sets
+    * before the first barrier; until the last pass they hold the roots.
     */
   private final class Normalize(ctx: RunCtx) extends (Par.Task => Unit) {
     private val minRep = new AtomicIntegerArray(ctx.n)
@@ -153,12 +153,19 @@ object ConnectIt {
       while (v < hi) { minRep.set(v, Int.MaxValue); v += 1 }
       if (t.index == 0) ctx.sampled = labels
       t.sync()
+      // sampling leaves trees of any height; no task writes parents here
       v = lo
-      while (v < hi) { AtomicOps.writeMin(minRep, p.get(v), v); v += 1 }
+      while (v < hi) {
+        var r = v
+        while (p.get(r) != r) r = p.get(r)
+        labels(v) = r
+        AtomicOps.writeMin(minRep, r, v)
+        v += 1
+      }
       t.sync()
       v = lo
       while (v < hi) {
-        val l = minRep.get(p.get(v))
+        val l = minRep.get(labels(v))
         p.set(v, l)
         labels(v) = l
         v += 1
@@ -258,30 +265,27 @@ object ConnectIt {
 
   // --------------------------------------------------- union-find finish
   /** Finish phase for the union-find family: vertex-parallel passes over
-    * the CSR ([[forSlotBlocks]]), ending in a barrier. Without a frequent
-    * label each edge is applied once, as (v, w) from its lower endpoint v,
-    * in the order of the sorted u < v edge list. With one, every edge is
-    * applied from both endpoints and vertices in the frequent component
-    * are skipped (their cross edges are applied from the other endpoint —
-    * Theorem 3). The two cases are separate loops, so that neither kind of
-    * run deoptimizes the other's compiled code.
+    * the CSR ([[HostGraph.forSlotBlocks]]), ending in a barrier. Without a
+    * frequent label each edge is applied once, as (v, w) from its lower
+    * endpoint v ([[HostGraph.upperStart]]), in the order of the sorted
+    * u < v edge list. With one, every edge is applied from both endpoints
+    * and vertices in the frequent component are skipped (their cross edges
+    * are applied from the other endpoint — Theorem 3). The two cases are
+    * separate loops, so that neither kind of run deoptimizes the other's
+    * compiled code.
     */
   private def unionFindFinish(t: Par.Task, g: HostGraph, ctx: RunCtx,
                               opt: UnionFindOpt, frequentid: Int): Unit = {
     val s = ctx.sampled
-    if (frequentid < 0) forSlotBlocks(t, g) { (lo, hi) =>
+    if (frequentid < 0) g.forSlotBlocks(t) { (lo, hi) =>
       var v = lo
       while (v < hi) {
-        // the neighbours above v are the suffix of its sorted slots;
-        // finding it from the end touches only the slots the unions read
         val end = g.offsets(v + 1)
-        val first = g.offsets(v)
-        var j = end
-        while (j > first && g.targets(j - 1) > v) j -= 1
+        var j = g.upperStart(v)
         while (j < end) { UnionFind.union(ctx, opt, v, g.targets(j)); j += 1 }
         v += 1
       }
-    } else forSlotBlocks(t, g) { (lo, hi) =>
+    } else g.forSlotBlocks(t) { (lo, hi) =>
       var v = lo
       while (v < hi) {
         if (s(v) != frequentid) {
@@ -294,40 +298,34 @@ object ConnectIt {
     }
   }
 
-  /** `f(lo, hi)` on dynamically claimed vertex ranges that each hold
-    * about the same number of CSR slots, so skewed degrees stay balanced;
-    * ends in a barrier. The vertices whose slots start in [a, b) form the
-    * range of slot block [a, b); trailing vertices without neighbours
-    * fall in none.
-    */
-  private def forSlotBlocks(t: Par.Task, g: HostGraph)(f: (Int, Int) => Unit): Unit = {
-    def firstAt(x: Int): Int = { // first vertex whose slots start at or after x
-      var lo = 0; var hi = g.n
-      while (lo < hi) { val mid = (lo + hi) >>> 1; if (g.offsets(mid) < x) lo = mid + 1 else hi = mid }
-      lo
-    }
-    t.forDynamic(g.offsets(g.n)) { (a, b) => f(firstAt(a), firstAt(b)) }
-  }
-
   // ------------------------------------------------------ sampling stats
   /** (coverage, inter-component edge fraction) of the sampled labeling —
-    * the quantities of Tables 6 and 7.
+    * the quantities of Tables 6 and 7 — counted in one gang job: each task
+    * counts the frequent label's members in its share of the vertices and
+    * the inter-component slots of the slot blocks it claims.
     */
   def samplingQuality(spark: SparkSession, g: HostGraph, ctx: RunCtx,
                       frequentid: Int): (Double, Double) = {
     val s = ctx.sampled
     if (s == null) return (0.0, 0.0)
-    var freqCount = 0L
-    var i = 0
-    while (i < s.length) { if (s(i) == frequentid) freqCount += 1; i += 1 }
-    // each inter-component edge shows up in both endpoints' CSR slots
-    var interSlots = 0L
-    var v = 0
-    while (v < g.n) {
-      var j = g.offsets(v)
-      while (j < g.offsets(v + 1)) { if (s(v) != s(g.targets(j))) interSlots += 1; j += 1 }
-      v += 1
+    val members = new AtomicLong(0)
+    val interSlots = new AtomicLong(0) // each inter-component edge fills a slot of both endpoints
+    Par.gang(spark, s"quality:${ctx.id}", work = g.targets.length.toLong + g.n) { t =>
+      val (lo, hi) = t.range(g.n)
+      members.addAndGet((lo until hi).count(s(_) == frequentid))
+      g.forSlotBlocks(t) { (lo, hi) =>
+        var c = 0L
+        var v = lo
+        while (v < hi) {
+          val l = s(v)
+          val end = g.offsets(v + 1)
+          var j = g.offsets(v)
+          while (j < end) { if (s(g.targets(j)) != l) c += 1; j += 1 }
+          v += 1
+        }
+        interSlots.addAndGet(c)
+      }
     }
-    (freqCount.toDouble / g.n, (interSlots / 2).toDouble / math.max(1L, g.m))
+    (members.get.toDouble / g.n, (interSlots.get / 2).toDouble / math.max(1L, g.m))
   }
 }

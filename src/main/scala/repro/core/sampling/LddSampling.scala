@@ -15,7 +15,7 @@ import repro.graph.{Edge, GraphGen, HostGraph}
   * diameter O(log n / beta) and ~beta*m edges are cut in expectation.
   * The emitted labeling maps each vertex to its cluster center
   * (height-1 trees; normalization to cluster minima happens in
-  * ConnectIt.normalizeSampled).
+  * ConnectIt.sampleAndNormalize).
   */
 object LddSampling {
 

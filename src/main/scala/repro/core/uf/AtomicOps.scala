@@ -8,7 +8,7 @@ import repro.core.RunCtx
   *
   * All operators run concurrently on the shared parents array; the
   * invariant maintained by every linking algorithm (and restored after
-  * sampling by label normalization, see `ConnectIt.normalizeSampled`) is
+  * sampling by label normalization, see `ConnectIt.sampleAndNormalize`) is
   * parent(x) <= x, so walks terminate.
   */
 object AtomicOps {

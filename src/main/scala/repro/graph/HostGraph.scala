@@ -8,8 +8,11 @@ import repro.core.Par
 /** A graph materialized for the shared-memory kernels: the symmetric CSR
   * adjacency (`offsets`/`targets`, both edge directions present, each
   * vertex's neighbours sorted and distinct). It is the only copy of the
-  * edges; a pass that wants a flat edge array packs the u < v edges out of
-  * it with [[upperEdges]] (driver) or [[HostGraph.UpperPack]] (gang).
+  * edges. A gang pass over them claims slot-balanced vertex ranges with
+  * [[forSlotBlocks]], and reads the u < v edges of a vertex as the suffix
+  * of its slots from [[upperStart]]; a pass that wants a flat edge array
+  * packs the u < v edges with [[upperEdges]] (driver) or
+  * [[HostGraph.UpperPack]] (gang).
   * Gang bodies capture it directly; it is registered in [[SharedState]]
   * under `id` so that a graph that is not unregistered shows up as a leak.
   *
@@ -28,6 +31,32 @@ final class HostGraph private (
 
   def degree(v: Int): Int = offsets(v + 1) - offsets(v)
 
+  /** The first slot of v whose target is above v: the neighbours above v
+    * are the suffix [upperStart(v), offsets(v + 1)) of its sorted slots.
+    * Searching from the end touches only the slots the suffix holds.
+    */
+  def upperStart(v: Int): Int = {
+    val first = offsets(v)
+    var j = offsets(v + 1)
+    while (j > first && targets(j - 1) > v) j -= 1
+    j
+  }
+
+  /** `f(lo, hi)` on dynamically claimed vertex ranges that each hold
+    * about the same number of CSR slots, so skewed degrees stay balanced;
+    * ends in a barrier. The vertices whose slots start in [a, b) form the
+    * range of slot block [a, b): every vertex with neighbours falls in
+    * one range, and trailing vertices without neighbours in none.
+    */
+  def forSlotBlocks(t: Par.Task)(f: (Int, Int) => Unit): Unit = {
+    def firstAt(x: Int): Int = { // first vertex whose slots start at or after x
+      var lo = 0; var hi = n
+      while (lo < hi) { val mid = (lo + hi) >>> 1; if (offsets(mid) < x) lo = mid + 1 else hi = mid }
+      lo
+    }
+    t.forDynamic(offsets(n)) { (a, b) => f(firstAt(a), firstAt(b)) }
+  }
+
   /** Packs the edges (u, w), u in [lo, hi) and w > u, into `out` from
     * `at` on, in sorted order, and returns where they end; with `out` null
     * it only counts them. With `labels` non-null, edges whose endpoints
@@ -38,11 +67,9 @@ final class HostGraph private (
     var k = at
     var u = lo
     while (u < hi) {
-      // the neighbours above u are the suffix of its sorted slots
       val end = offsets(u + 1)
-      var j = end
-      while (j > offsets(u) && targets(j - 1) > u) j -= 1
       val inside = labels != null && labels(u) == skip
+      var j = upperStart(u)
       while (j < end) {
         val w = targets(j)
         if (!inside || labels(w) != skip) { if (out != null) out(k) = Edge.pack(u, w); k += 1 }
@@ -70,9 +97,7 @@ final class HostGraph private (
     * driver (tests / reference only).
     */
   def edgeIterator: Iterator[(Int, Int)] =
-    Iterator.range(0, n).flatMap { u =>
-      Iterator.range(offsets(u), offsets(u + 1)).map(targets(_)).filter(_ > u).map((u, _))
-    }
+    Iterator.range(0, n).flatMap(u => Iterator.range(upperStart(u), offsets(u + 1)).map(j => (u, targets(j))))
 
   def unregister(): Unit = SharedState.remove(HostGraph.key(id))
 }

@@ -41,9 +41,6 @@ object Reference {
 
   def cc(g: HostGraph): Array[Int] = cc(g.n, g.edgeIterator)
 
-  /** Number of components = number of distinct labels. */
-  def numComponents(labels: Array[Int]): Int = numComponentsOf(labels)
-
   def largestComponent(labels: Array[Int]): Int = {
     val counts = new java.util.HashMap[Int, Int]()
     labels.foreach(l => counts.merge(l, 1, _ + _))
@@ -81,20 +78,17 @@ object Reference {
     */
   def validSpanningForest(g: HostGraph, forest: Array[(Int, Int)]): Boolean = {
     val full = cc(g)
-    val want = g.n - numComponentsOf(full)
-    if (forest.length != want) return false
-    val edgeSet = new java.util.HashSet[Long]()
-    g.edgeIterator.foreach { case (u, v) =>
-      edgeSet.add(Edge.pack(math.min(u, v), math.max(u, v)))
-    }
+    if (forest.length != g.n - numComponents(full)) return false
+    // (u, v) is an edge iff v is among u's sorted neighbours
     if (!forest.forall { case (u, v) =>
-          u != v && edgeSet.contains(Edge.pack(math.min(u, v), math.max(u, v)))
+          java.util.Arrays.binarySearch(g.targets, g.offsets(u), g.offsets(u + 1), v) >= 0
         }) return false
     val fcc = cc(g.n, forest.iterator)
     samePartition(full, fcc)
   }
 
-  def numComponentsOf(labels: Array[Int]): Int = {
+  /** Number of components = number of distinct labels. */
+  def numComponents(labels: Array[Int]): Int = {
     val s = new java.util.HashSet[Int]()
     labels.foreach(s.add)
     s.size

@@ -31,8 +31,6 @@ object SharedState {
     v.asInstanceOf[T]
   }
 
-  def contains(key: String): Boolean = m.containsKey(key)
-
   def remove(key: String): Unit = m.remove(key)
 
   /** Number of live entries (used by tests to check cleanup). */

@@ -1,12 +1,16 @@
 package repro.graph
 
+import java.util.concurrent.atomic.AtomicIntegerArray
 import org.apache.spark.sql.DataFrame
-import repro.SparkSpec
-import repro.core.Par
+import repro.{SparkSpec, TestGraphs}
+import repro.core.{ConnectIt, Par, RunCtx}
+import repro.core.Options._
 
 /** The CSR builder against a Scala-collections oracle: the sorted
   * distinct u < v pairs of the samples (self-loops dropped), each vertex's
-  * sorted neighbours, and that pair list as packed by `upperEdges`.
+  * sorted neighbours, and that pair list as packed by `upperEdges`. Also
+  * the edge-pass primitive (`forSlotBlocks`, `upperStart`) and the gang
+  * pass built on it, `ConnectIt.samplingQuality`.
   */
 class HostGraphSpec extends SparkSpec {
 
@@ -171,5 +175,49 @@ class HostGraphSpec extends SparkSpec {
     assert(HostGraph.slotCount(limit.toLong) == 2 * limit)
     val e = intercept[IllegalArgumentException](HostGraph.slotCount(limit + 1L))
     assert(e.getMessage.contains((limit + 1L).toString))
+  }
+
+  test("slot blocks give each vertex with neighbours to one block on a skewed graph") {
+    // a star centred at 5999, the largest id with neighbours, over random
+    // edges among its leaves, then 500 trailing isolated vertices
+    val leaves = 5999
+    val samples = Seq.tabulate(leaves)(i => (leaves, i)) ++ noisy(leaves, 40000, seed = 23)
+    val before = SharedState.size
+    withGraph(HostGraph.fromArray(spark, leaves + 501, samples.toArray)) { g =>
+      assert(g.targets.length >= Par.GrainSize && g.degree(leaves) == leaves)
+      assert((leaves + 1 until g.n).forall(g.degree(_) == 0))
+      val claims = new AtomicIntegerArray(g.n)
+      assert(jobsOf(Par.gang(spark, "slot-blocks") { t =>
+        g.forSlotBlocks(t) { (lo, hi) => (lo until hi).foreach(claims.incrementAndGet) }
+      }) == 1)
+      for (v <- 0 until g.n)
+        assert(claims.get(v) == (if (g.degree(v) > 0) 1 else 0), s"vertex $v")
+    }
+    assert(SharedState.size == before)
+  }
+
+  test("upperStart is the first slot above the vertex on every test graph") {
+    for ((name, g) <- TestGraphs.suite(spark).map(x => x._1 -> x._2) :+ ("large" -> TestGraphs.large(spark)))
+      for (v <- 0 until g.n) {
+        val want = (g.offsets(v) until g.offsets(v + 1)).find(g.targets(_) > v).getOrElse(g.offsets(v + 1))
+        assert(g.upperStart(v) == want, s"$name vertex $v")
+      }
+  }
+
+  test("the gang samplingQuality equals a serial count over edgeIterator") {
+    val graphs = TestGraphs.suite(spark).map(x => x._1 -> x._2) :+ ("large" -> TestGraphs.large(spark))
+    for ((name, g) <- graphs; s <- Seq(KOutSampling(2, KOutHybrid), BfsSampling(), LddSampling(0.2))) {
+      val before = SharedState.size
+      val ctx = RunCtx.create(g.n)
+      try {
+        ConnectIt.sampleAndNormalize(spark, g, ctx, s)
+        val l = ctx.sampled
+        val freq = ConnectIt.identifyFrequent(l)
+        val inter = g.edgeIterator.count { case (u, v) => l(u) != l(v) }
+        val want = (l.count(_ == freq).toDouble / g.n, inter.toDouble / math.max(1L, g.m))
+        assert(ConnectIt.samplingQuality(spark, g, ctx, freq) == want, s"${s.name} on $name")
+      } finally ctx.unregister()
+      assert(SharedState.size == before, s"${s.name} on $name")
+    }
   }
 }
