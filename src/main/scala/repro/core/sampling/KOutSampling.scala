@@ -33,9 +33,12 @@ object KOutSampling {
     @inline def randomNeighbour(v: Int, off: Int, deg: Int, j: Int): Int =
       g.targets(off + ((GraphGen.mix(seed ^ GraphGen.mix(v.toLong * 131 + j)) >>> 1) % deg).toInt)
     def maxDegNeighbour(off: Int, deg: Int): Int = { // the first among equals
-      var best = -1
-      var j = off
-      while (j < off + deg) { if (best < 0 || g.degree(g.targets(j)) > g.degree(best)) best = g.targets(j); j += 1 }
+      var best = g.targets(off)
+      var j = off + 1
+      while (j < off + deg) {
+        if (g.degree(g.targets(j)) > g.degree(best)) best = g.targets(j)
+        j += 1
+      }
       best
     }
     t.forDynamic(g.n) { (lo, hi) =>

@@ -81,7 +81,7 @@ object Reference {
     if (forest.length != g.n - numComponents(full)) return false
     // (u, v) is an edge iff v is among u's sorted neighbours
     if (!forest.forall { case (u, v) =>
-          java.util.Arrays.binarySearch(g.targets, g.offsets(u), g.offsets(u + 1), v) >= 0
+          u >= 0 && u < g.n && java.util.Arrays.binarySearch(g.targets, g.offsets(u), g.offsets(u + 1), v) >= 0
         }) return false
     val fcc = cc(g.n, forest.iterator)
     samePartition(full, fcc)

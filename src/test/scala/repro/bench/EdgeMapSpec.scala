@@ -5,7 +5,7 @@ import repro.core.Par
 import repro.graph.SharedState
 
 /** Table 8's MapEdges / GatherEdges primitives: each is one gang job over
-  * the vertices, summing the tasks' shares into one counter.
+  * the CSR's slot blocks, summing the blocks into one counter.
   */
 class EdgeMapSpec extends SparkSpec {
 

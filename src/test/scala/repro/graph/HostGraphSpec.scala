@@ -192,16 +192,20 @@ class HostGraphSpec extends SparkSpec {
       }) == 1)
       for (v <- 0 until g.n)
         assert(claims.get(v) == (if (g.degree(v) > 0) 1 else 0), s"vertex $v")
+      assertUpperStart("skewed", g)
     }
     assert(SharedState.size == before)
   }
 
+  private def assertUpperStart(name: String, g: HostGraph): Unit =
+    for (v <- 0 until g.n) {
+      val want = (g.offsets(v) until g.offsets(v + 1)).find(g.targets(_) > v).getOrElse(g.offsets(v + 1))
+      assert(g.upperStart(v) == want, s"$name vertex $v")
+    }
+
   test("upperStart is the first slot above the vertex on every test graph") {
     for ((name, g) <- TestGraphs.suite(spark).map(x => x._1 -> x._2) :+ ("large" -> TestGraphs.large(spark)))
-      for (v <- 0 until g.n) {
-        val want = (g.offsets(v) until g.offsets(v + 1)).find(g.targets(_) > v).getOrElse(g.offsets(v + 1))
-        assert(g.upperStart(v) == want, s"$name vertex $v")
-      }
+      assertUpperStart(name, g)
   }
 
   test("the gang samplingQuality equals a serial count over edgeIterator") {
