@@ -67,6 +67,9 @@ object Tables {
     res.totalSec
   }
 
+  /** The better of two timings of the same call: a warm-up and a timed run. */
+  def best(t: => Double): Double = math.min(t, t)
+
   // ============================================================= Table 1
   /** Largest-graph showcase: our biggest suite graphs under the fastest
     * configuration, next to the paper's published system rows (which are
@@ -133,17 +136,17 @@ object Tables {
 
   // ============================================================= Table 3
   /** Running times of every finish family under every sampling scheme,
-    * plus the reimplemented "Other Systems".
+    * plus the reimplemented "Other Systems". Every cell is the better of a
+    * warm-up run and a timed run, so no cell carries the JIT warm-up of
+    * its family's code.
     */
   def table3(spark: SparkSession): Seq[String] = {
     val graphs = GraphSuite.all(spark)
     System.gc() // quiet heap before timing
-    // warm the whole stack once
-    timedCC(spark, graphs.head._2, fastest._1, fastest._2)
     val out = scala.collection.mutable.ArrayBuffer.empty[String]
     for ((sname, s) <- t3Samplings; (fname, opts) <- t3Families) {
       val cells = graphs.map { case (_, g) =>
-        fmt(opts.map(o => timedCC(spark, g, s, o)).min)
+        fmt(opts.map(o => best(timedCC(spark, g, s, o))).min)
       }
       out += f"$sname%-16s $fname%-12s ${cells.map(c => f"$c%-10s").mkString}"
     }
@@ -156,7 +159,7 @@ object Tables {
       "GAP-AF" -> ((sp, g) => Baselines.afforest(sp, g).totalSec),
     )
     for ((name, run) <- others) {
-      val cells = graphs.map { case (_, g) => fmt(run(spark, g)) }
+      val cells = graphs.map { case (_, g) => fmt(best(run(spark, g))) }
       out += f"${"Other Systems"}%-16s $name%-12s ${cells.map(c => f"$c%-10s").mkString}"
     }
     emit(f"${"Sampling"}%-16s ${"Algorithm"}%-12s ${graphs.map(g => f"${g._1}%-10s").mkString}" +: out.toSeq)
@@ -259,13 +262,18 @@ object Tables {
 
   // ========================================================= Tables 6, 7
   /** Sampling quality: time, coverage of the most frequent component,
-    * fraction of inter-component edges remaining.
+    * fraction of inter-component edges remaining. The time is the better
+    * of a warm-up and a timed sampling phase, each on a fresh run
+    * context; coverage and inter-component fraction are the timed run's.
     */
   def samplingQualityRow(spark: SparkSession, name: String, g: HostGraph,
                          s: SamplingOpt): String = {
+    def sampled(ctx: RunCtx): Double = time(ConnectIt.sampleAndNormalize(spark, g, ctx, s))._2
+    val warm = RunCtx.create(g.n)
+    val tWarm = try sampled(warm) finally warm.unregister()
     val ctx = RunCtx.create(g.n)
     try {
-      val (_, t) = time(ConnectIt.sampleAndNormalize(spark, g, ctx, s))
+      val t = math.min(tWarm, sampled(ctx))
       val freq = ConnectIt.identifyFrequent(ctx.sampled)
       val (cov, ic) = ConnectIt.samplingQuality(spark, g, ctx, freq)
       f"$name%-4s ${s.name}%-26s time=${fmt(t)}s cov=${cov * 100}%.1f%% ic=${ic * 100}%.4f%%"
@@ -289,12 +297,11 @@ object Tables {
     * call (each a gang job), the better of a warm-up run and a timed run.
     */
   def table8(spark: SparkSession): Seq[String] = {
-    def best(f: => Any): Double = math.min(time(f)._2, time(f)._2)
     val rows = GraphSuite.all(spark).map { case (name, g) =>
-      val mapT = best(mapEdges(spark, g))
-      val gatT = best(gatherEdges(spark, g))
-      val noS = best(ConnectIt.connectivity(spark, g, NoSampling, fastest._2))
-      val withS = best(ConnectIt.connectivity(spark, g, fastest._1, fastest._2))
+      val mapT = best(time(mapEdges(spark, g))._2)
+      val gatT = best(time(gatherEdges(spark, g))._2)
+      val noS = best(time(ConnectIt.connectivity(spark, g, NoSampling, fastest._2))._2)
+      val withS = best(time(ConnectIt.connectivity(spark, g, fastest._1, fastest._2))._2)
       f"$name%-4s MapEdges=${fmt(mapT)}s GatherEdges=${fmt(gatT)}s ConnectIt(NoSample)=${fmt(noS)}s ConnectIt(Sample)=${fmt(withS)}s"
     }
     emit(rows)
