@@ -1,9 +1,8 @@
 package repro.core.minbased
 
 import java.util.concurrent.atomic.AtomicIntegerArray
-import repro.core.{Par, RunCtx}
+import repro.core.{Frontier, Par, RunCtx}
 import repro.core.Options._
-import repro.core.sampling.Frontier
 import repro.core.uf.AtomicOps.writeMin
 import repro.graph.{Edge, HostGraph}
 
@@ -306,71 +305,32 @@ object MinBased {
   // ====================================================== Label-Propagation
   /** Folklore frontier-based Label-Propagation (B.2.6): vertices whose
     * label changed last round push their label to neighbours with a
-    * writeMin; terminates after <= diameter rounds. A round whose
-    * frontier work reaches [[Par.GrainSize]] is split across the tasks in
-    * static ranges; smaller rounds run back to back on task 0 inside one
-    * task-0 step, as BFS levels do. Ends in a barrier.
+    * writeMin; terminates after <= diameter rounds. The rounds are
+    * [[Frontier]] rounds, starting from every vertex. Ends in a barrier.
     */
-  final class LabelProp(g: HostGraph, ctx: RunCtx) {
-    private val f = new Frontier(g.n)
+  final class LabelProp(g: HostGraph, ctx: RunCtx) extends Frontier.Kernel {
+    private val f = new Frontier(g)
     /** Round in which each vertex last joined the next frontier. */
     private val stamp = new AtomicIntegerArray(g.n)
     /** The round being run (from 1); written by task 0 between barriers. */
-    private var round = 1
+    private var round = 0
 
-    def apply(t: Par.Task): Unit = {
-      // initial frontier: every vertex (sampled/frequent vertices push
-      // their sentinel once and then never re-enter)
-      t.single { f.cur = Array.range(0, g.n); f.size = g.n; smallRounds() }
-      while (f.size > 0) {
-        val (lo, hi) = t.range(f.size)
-        push(lo, hi)
-        t.sync()
-        t.single { endRound(); smallRounds() }
-      }
+    // initial frontier: every vertex (sampled/frequent vertices push
+    // their sentinel once and then never re-enter)
+    def apply(t: Par.Task): Unit =
+      f.rounds(t, this) { f.cur = Array.range(0, g.n); f.size = g.n }
+
+    def visit(v: Int, w: Int): Boolean = {
+      val p = ctx.parents
+      val l = p.get(v)
+      // w joins the next frontier once per round
+      l < p.get(w) && writeMin(p, w, l) && stamp.get(w) != round && stamp.getAndSet(w, round) != round
     }
 
-    private def smallRounds(): Unit =
-      while (f.size > 0 && f.work(g) < Par.GrainSize) { push(0, f.size); endRound() }
-
-    private def endRound(): Unit = {
-      f.advance()
+    def endRound(): Boolean = {
       round += 1
       require(round <= RoundCap, "Label-Propagation did not converge")
-    }
-
-    /** Push the labels of frontier slots [lo, hi). */
-    private def push(lo: Int, hi: Int): Unit = {
-      val p = ctx.parents
-      val r = round
-      var buf = new Array[Int](256)
-      var len = 0
-      var fi = lo
-      while (fi < hi) {
-        val v = f.cur(fi)
-        val l = p.get(v)
-        var j = g.offsets(v)
-        val end = g.offsets(v + 1)
-        while (j < end) {
-          val w = g.targets(j)
-          if (l < p.get(w) && writeMin(p, w, l)) {
-            // schedule w once per round
-            var s = stamp.get(w)
-            var claimed = false
-            while (s != r && !claimed) {
-              if (stamp.compareAndSet(w, s, r)) claimed = true
-              else s = stamp.get(w)
-            }
-            if (claimed) {
-              if (len == buf.length) buf = java.util.Arrays.copyOf(buf, len * 2)
-              buf(len) = w; len += 1
-            }
-          }
-          j += 1
-        }
-        fi += 1
-      }
-      f.publish(buf, len)
+      f.size > 0
     }
   }
 }

@@ -1,8 +1,9 @@
 package repro.core
 
+import scala.collection.mutable.ArrayBuffer
 import repro.{SparkSpec, TestGraphs}
 import repro.core.Options._
-import repro.graph.{Edge, Reference}
+import repro.graph.{Edge, GraphGen, HostGraph, Reference, SharedState}
 
 /** Composability (Definition 3.1) of every sampling method: the emitted
   * labeling must be height-1 trees (after normalization, rooted at
@@ -95,6 +96,62 @@ class SamplingSpec extends SparkSpec {
       ConnectIt.connectivity(spark, g, LddSampling(beta),
         UnionFindOpt(UfRemCas), sampleStats = true).interCompFrac
     assert(ic(0.05) <= ic(0.8) + 0.05)
+  }
+
+  test("LDD puts every vertex in a cluster whose center reaches it first (MPX), 20 repetitions") {
+    // The 512x512 torus has LDD rounds on both sides of GrainSize, so both
+    // the split rounds and the task-0 rounds run. A claim race picks among
+    // clusters that arrive in the same round, so the property is exact at
+    // any number of tasks.
+    val (beta, seed) = (0.2, 41L)
+    val g = HostGraph.fromEdges(spark, GraphGen.torus2d(spark, 512, 512))
+    try {
+      val n = g.n
+      val shifts = Array.tabulate(n)(v => sampling.LddSampling.shift(v, beta, permute = false, seed))
+      val dmax = shifts.max
+      val start = shifts.map(sampling.LddSampling.startRound(_, dmax))
+      // serial multi-source BFS: arrival(w) = min over v of start(v) + dist(v, w)
+      val arrival = start.clone()
+      val buckets = ArrayBuffer.empty[ArrayBuffer[Int]]
+      def enqueue(v: Int, t: Int): Unit = {
+        while (buckets.size <= t) buckets += ArrayBuffer.empty[Int]
+        buckets(t) += v
+      }
+      (0 until n).foreach(v => enqueue(v, start(v)))
+      for (t <- buckets.indices; v <- buckets(t) if arrival(v) == t; j <- g.offsets(v) until g.offsets(v + 1)) {
+        val w = g.targets(j)
+        if (arrival(w) > t + 1) { arrival(w) = t + 1; enqueue(w, t + 1) }
+      }
+      // round r's frontier is the vertices that arrive in round r
+      val work = (0 to arrival.max).map { r =>
+        val f = new Frontier(g)
+        (0 until n).filter(arrival(_) == r).foreach(f.add)
+        f.work
+      }
+      assert(work.count(_ >= Par.GrainSize) > 0 && work.count(w => w > 0 && w < Par.GrainSize) > 0,
+        s"rounds' work: ${work.mkString(",")}")
+      val before = SharedState.size
+      for (rep <- 1 to 20) {
+        val ctx = RunCtx.create(n)
+        try {
+          sampling.LddSampling.sample(spark, g, ctx, beta, permute = false, seed)
+          val center = Array.tabulate(n)(ctx.parents.get)
+          // a center starts in its start round; any other vertex has a
+          // neighbour in its cluster that arrived one round earlier, so by
+          // induction start(c) + dist(c, w) <= arrival(w), and >= holds
+          // by the definition of arrival
+          for (w <- 0 until n) {
+            val c = center(w)
+            if (c == w) assert(arrival(w) == start(w), s"rep $rep: center $w")
+            else assert(center(c) == c && (g.offsets(w) until g.offsets(w + 1)).exists { j =>
+              val u = g.targets(j)
+              center(u) == c && arrival(u) == arrival(w) - 1
+            }, s"rep $rep: vertex $w in the cluster of $c arrived at ${arrival(w)}")
+          }
+        } finally ctx.unregister()
+        assert(SharedState.size == before, s"rep $rep")
+      }
+    } finally g.unregister()
   }
 
   test("identifyFrequent finds the majority label") {
