@@ -1,17 +1,17 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicInteger
-import repro.graph.HostGraph
+import java.util.concurrent.atomic.{AtomicInteger, AtomicIntegerArray}
+import repro.graph.{Edge, HostGraph}
 
-/** The one frontier primitive of BFS and LDD sampling and of
-  * Label-Propagation: the sparse `edgeMap` of Ligra (Shun & Blelloch,
-  * PPoPP 2013), in which the paper writes all three (§3.2.2, B.2.6).
-  * A round pushes each frontier vertex's CSR slots through the kernel's
-  * `visit`; the vertices it admits form the next frontier. A round whose
-  * estimated [[work]] reaches [[Par.GrainSize]] is split across the
-  * tasks; smaller rounds run back to back on task 0 inside one task-0
-  * step, so a high-diameter graph (a torus has hundreds of rounds of a
-  * few thousand edges) pays no barrier per round.
+/** The one frontier round of BFS and LDD sampling and Label-Prop: the
+  * sparse `edgeMap` of Ligra, in which the paper writes all three
+  * (§3.2.2, B.2.6). A round pushes each frontier vertex's CSR slots
+  * through a [[Frontier.Visit]]. A round whose estimated [[work]] reaches
+  * [[Par.GrainSize]] is split across the tasks; runs of smaller rounds go
+  * back to back on task 0 inside one task-0 step. A split gives each task
+  * one contiguous share: a sweep through it carries Label-Prop's smallest
+  * label through the whole share in one round (with 16 dynamically
+  * claimed blocks per task, Label-Prop on the 512x512 torus took 5x longer).
   */
 final class Frontier(g: HostGraph) {
   var cur: Array[Int] = new Array[Int](16)
@@ -49,29 +49,30 @@ final class Frontier(g: HostGraph) {
     s * step + size
   }
 
-  /** Every task runs rounds until `k.endRound` says none is due. Task 0
-    * first runs `start`, which sets up the first frontier. Ends in a
-    * barrier.
+  /** Every task runs rounds of `visit` until `k.endRound` says none is
+    * due. Task 0 first runs `start`, which sets up the first frontier.
+    * Ends in a barrier.
     */
-  def rounds(t: Par.Task, k: Frontier.Kernel)(start: => Unit): Unit = {
-    t.single { start; more = k.endRound() && smallRounds(k) }
+  def rounds(t: Par.Task, visit: Frontier.Visit, k: Frontier.Kernel)(start: => Unit): Unit = {
+    t.single { start; more = k.endRound() && smallRounds(visit, k) }
     while (more) {
-      if (k.dense) k.denseRound(t) else t.forDynamic(size, 16)(push(_, _, k))
-      t.single { advance(); more = k.endRound() && smallRounds(k) }
+      if (k.dense) k.denseRound(t)
+      else { val (lo, hi) = t.range(size); push(lo, hi, visit); t.sync() }
+      t.single { advance(); more = k.endRound() && smallRounds(visit, k) }
     }
   }
 
   /** Task 0: sparse rounds while they are too small to split; whether
     * another round is due.
     */
-  private def smallRounds(k: Frontier.Kernel): Boolean = {
+  private def smallRounds(visit: Frontier.Visit, k: Frontier.Kernel): Boolean = {
     var go = true
-    while (go && !k.dense && work < Par.GrainSize) { push(0, size, k); advance(); go = k.endRound() }
+    while (go && !k.dense && work < Par.GrainSize) { push(0, size, visit); advance(); go = k.endRound() }
     go
   }
 
-  /** Push frontier slots [lo, hi) through `k.visit`. */
-  private def push(lo: Int, hi: Int, k: Frontier.Kernel): Unit = {
+  /** Push frontier slots [lo, hi) through `visit`. */
+  private def push(lo: Int, hi: Int, visit: Frontier.Visit): Unit = {
     var buf = new Array[Int](256)
     var len = 0
     var fi = lo
@@ -81,7 +82,7 @@ final class Frontier(g: HostGraph) {
       val end = g.offsets(v + 1)
       while (j < end) {
         val w = g.targets(j)
-        if (k.visit(v, w)) {
+        if (visit.visit(v, w)) {
           if (len == buf.length) buf = java.util.Arrays.copyOf(buf, len * 2)
           buf(len) = w; len += 1
         }
@@ -94,23 +95,38 @@ final class Frontier(g: HostGraph) {
 }
 
 object Frontier {
-  /** One traversal's steps. Keep one concrete class per kernel, so the
-    * shared `visit` call site sees few receiver classes.
+  /** The per-edge step of a round, called concurrently: claim w from
+    * frontier vertex v atomically; whether w joins the next frontier.
+    * [[Claim]] and Label-Prop's are the only two classes, so the JIT
+    * inlines both at the shared call; with a third, Table 6's LDD
+    * sampling ran about 20% slower.
     */
-  abstract class Kernel {
-    /** Edge (v, w) from frontier vertex v, called concurrently: claim w
-      * atomically; whether w joins the next frontier.
-      */
-    def visit(v: Int, w: Int): Boolean
+  abstract class Visit { def visit(v: Int, w: Int): Boolean }
 
+  /** The claim of BFS and LDD sampling: an unclaimed w joins the cluster
+    * of v. It takes v's label in `ctx.parents` and, in forest runs, the
+    * tree edge (v, w).
+    */
+  final class Claim(ctx: RunCtx) extends Visit {
+    val claimed = new AtomicIntegerArray(ctx.n)
+
+    def visit(v: Int, w: Int): Boolean =
+      claimed.get(w) == 0 && claimed.compareAndSet(w, 0, 1) && {
+        ctx.parents.set(w, ctx.parents.get(v))
+        val fo = ctx.forest
+        if (fo != null) fo.set(w, Edge.pack(v, w))
+        true
+      }
+  }
+
+  /** A traversal's round state, kept by task 0. */
+  trait Kernel {
     /** Task 0, before the first round and after each one: update the
       * round state; whether another round is due.
       */
     def endRound(): Boolean
-
-    /** Whether the next round is the kernel's own dense step; then every
-      * task runs `denseRound`, which publishes the next frontier and ends
-      * in a barrier.
+    /** Whether the next round is the kernel's own dense step instead: every
+      * task runs `denseRound`, which publishes the next frontier and syncs.
       */
     def dense: Boolean = false
     def denseRound(t: Par.Task): Unit = ()

@@ -25,8 +25,8 @@ import repro.graph.SharedState
   */
 object Par {
   /** Granularity control: below this estimated work a [[gang]] runs on
-    * the calling thread, and inside a gang a BFS level or Label-Propagation
-    * round runs on task 0 instead of being split.
+    * the calling thread, and inside a gang a [[Frontier]] round (BFS,
+    * LDD, Label-Propagation) runs on task 0 instead of being split.
     */
   val GrainSize: Long = 65536L
 

@@ -308,7 +308,7 @@ object MinBased {
     * writeMin; terminates after <= diameter rounds. The rounds are
     * [[Frontier]] rounds, starting from every vertex. Ends in a barrier.
     */
-  final class LabelProp(g: HostGraph, ctx: RunCtx) extends Frontier.Kernel {
+  final class LabelProp(g: HostGraph, ctx: RunCtx) extends Frontier.Visit with Frontier.Kernel {
     private val f = new Frontier(g)
     /** Round in which each vertex last joined the next frontier. */
     private val stamp = new AtomicIntegerArray(g.n)
@@ -318,7 +318,7 @@ object MinBased {
     // initial frontier: every vertex (sampled/frequent vertices push
     // their sentinel once and then never re-enter)
     def apply(t: Par.Task): Unit =
-      f.rounds(t, this) { f.cur = Array.range(0, g.n); f.size = g.n }
+      f.rounds(t, this, this) { f.cur = Array.range(0, g.n); f.size = g.n }
 
     def visit(v: Int, w: Int): Boolean = {
       val p = ctx.parents

@@ -32,27 +32,14 @@ object BfsSampling {
         }
         if (src < 0) src = 0
         if (bfs(t, src) > n / 10) done = true
-        else reset(t)
+        else bfs.reset(t)
         tr += 1
       }
     }
-
-    /** Reset labels (and forest slots) to pristine state (failed try). */
-    private def reset(t: Par.Task): Unit = {
-      val (lo, hi) = t.range(ctx.n)
-      val fo = ctx.forest
-      var v = lo
-      while (v < hi) {
-        ctx.parents.set(v, v)
-        if (fo != null) fo.set(v, -1L)
-        v += 1
-      }
-      t.sync()
-    }
   }
 
-  /** One full BFS per call, claiming vertices via CAS on the parents
-    * array (parents(v): v -> src); records forest tree edges if enabled.
+  /** One full BFS per call, claiming vertices with [[Frontier.Claim]]
+    * (parents(v): v -> src); records forest tree edges if enabled.
     *
     * Top-down levels are [[Frontier]] rounds, so a level is split across
     * the tasks only when its frontier's edges reach [[Par.GrainSize]].
@@ -61,6 +48,7 @@ object BfsSampling {
     */
   final class Bfs(g: HostGraph, ctx: RunCtx) extends Frontier.Kernel {
     private val f = new Frontier(g)
+    private val claim = new Frontier.Claim(ctx)
     /** The source of the current BFS; written by task 0 between barriers. */
     private var src = -1
     /** Vertices covered so far; written by task 0 between barriers. */
@@ -71,16 +59,25 @@ object BfsSampling {
       * separated by a barrier.
       */
     def apply(t: Par.Task, src: Int): Int = {
-      f.rounds(t, this) { this.src = src; covered = 0; f.size = 0; f.add(src) }
+      f.rounds(t, claim, this) { this.src = src; covered = 0; claim.claimed.set(src, 1); f.add(src) }
       covered
     }
 
-    def visit(v: Int, w: Int): Boolean =
-      if (w != src && ctx.parents.compareAndSet(w, w, src)) {
-        val fo = ctx.forest
-        if (fo != null) fo.set(w, Edge.pack(v, w))
-        true
-      } else false
+    /** Reset labels, claims and forest slots to pristine state (failed
+      * try), then a barrier.
+      */
+    def reset(t: Par.Task): Unit = {
+      val (lo, hi) = t.range(ctx.n)
+      val fo = ctx.forest
+      var v = lo
+      while (v < hi) {
+        ctx.parents.set(v, v)
+        claim.claimed.set(v, 0)
+        if (fo != null) fo.set(v, -1L)
+        v += 1
+      }
+      t.sync()
+    }
 
     def endRound(): Boolean = { covered += f.size; f.size > 0 }
 
@@ -92,18 +89,20 @@ object BfsSampling {
       * visited neighbour.
       */
     private def bottomUp(lo: Int, hi: Int): Unit = {
+      val claimed = claim.claimed
       val buf = new Array[Int](hi - lo)
       var len = 0
       var v = lo
       while (v < hi) {
-        if (ctx.parents.get(v) == v && v != src) {
+        if (claimed.get(v) == 0) {
           val off = g.offsets(v); val end = g.offsets(v + 1)
           var j = off
           var done = false
           while (j < end && !done) {
             val w = g.targets(j)
-            if (w == src || ctx.parents.get(w) == src) {
+            if (claimed.get(w) == 1) {
               ctx.parents.set(v, src)
+              claimed.set(v, 1)
               val fo = ctx.forest
               if (fo != null) fo.set(v, Edge.pack(w, v))
               buf(len) = v; len += 1

@@ -1,9 +1,9 @@
 package repro.core.sampling
 
-import java.util.concurrent.atomic.{AtomicIntegerArray, AtomicLong}
+import java.util.concurrent.atomic.AtomicLong
 import org.apache.spark.sql.SparkSession
 import repro.core.{Frontier, Par, RunCtx}
-import repro.graph.{Edge, GraphGen, HostGraph}
+import repro.graph.{GraphGen, HostGraph}
 
 /** Low-diameter decomposition sampling (Algorithm 6): one round of the
   * Miller–Peng–Xu decomposition with parameter beta.
@@ -32,11 +32,8 @@ object LddSampling {
     -math.log(1.0 - GraphGen.u01(seed, key, 77)) / beta
   }
 
-  /** The round in which a vertex with shift `s` starts its own cluster,
-    * if no cluster has claimed it by then: floor(dmax - s), where `dmax`
-    * is the largest shift. The few vertices with the LARGEST shifts wake
-    * first, and their clusters claim almost everything before the rest
-    * start.
+  /** The round floor(dmax - s) in which a vertex with shift `s` starts its
+    * own cluster unless claimed by then (`dmax`: the largest shift).
     */
   private[core] def startRound(s: Double, dmax: Double): Int = (dmax - s).toInt
 
@@ -56,12 +53,9 @@ object LddSampling {
       */
     private val order = new Array[Int](n)
     private var bucketStart: Array[Int] = _
-    private val claimed = new AtomicIntegerArray(n)
+    private val claim = new Frontier.Claim(ctx)
     private val f = new Frontier(g)
-    /** Task 0's round state: the next round to wake, and the vertices
-      * claimed so far (each joins the frontier once, in the round that
-      * claims it).
-      */
+    /** Task 0's round state: the next round to wake, and the vertices claimed so far. */
     private var round = 0
     private var claimedCount = 0
 
@@ -81,16 +75,8 @@ object LddSampling {
       v = lo
       while (v < hi) { bucketOf(v) = startRound(shifts(v), dmax); v += 1 }
       t.sync()
-      f.rounds(t, this)(sortByBucket(dmax.toInt))
+      f.rounds(t, claim, this)(sortByBucket(dmax.toInt))
     }
-
-    def visit(u: Int, w: Int): Boolean =
-      if (claimed.get(w) == 0 && claimed.compareAndSet(w, 0, 1)) {
-        ctx.parents.set(w, ctx.parents.get(u))
-        val fo = ctx.forest
-        if (fo != null) fo.set(w, Edge.pack(u, w))
-        true
-      } else false
 
     /** Stable counting sort of the vertices by start round, the last
       * being `maxBucket`.
@@ -115,12 +101,12 @@ object LddSampling {
         var i = bucketStart(round)
         while (i < bucketStart(round + 1)) {
           val c = order(i)
-          if (claimed.compareAndSet(c, 0, 1)) f.add(c)
+          if (claim.claimed.compareAndSet(c, 0, 1)) f.add(c)
           i += 1
         }
       }
       round += 1
-      claimedCount += f.size
+      claimedCount += f.size // a vertex joins the frontier once, in the round that claims it
       claimedCount < n || f.size > 0
     }
   }
