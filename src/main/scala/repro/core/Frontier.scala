@@ -5,15 +5,15 @@ import repro.graph.{Edge, HostGraph}
 
 /** The one frontier round of BFS and LDD sampling and Label-Prop: the
   * sparse `edgeMap` of Ligra, in which the paper writes all three
-  * (§3.2.2, B.2.6). A round pushes each frontier vertex's CSR slots
-  * through a [[Frontier.Visit]]. A round whose estimated [[work]] reaches
+  * (§3.2.2, B.2.6). A round pushes each frontier vertex's label (in
+  * `labels`) along its CSR slots through a [[Frontier.Visit]]. A round whose estimated [[work]] reaches
   * [[Par.GrainSize]] is split across the tasks; runs of smaller rounds go
   * back to back on task 0 inside one task-0 step. A split gives each task
   * one contiguous share: a sweep through it carries Label-Prop's smallest
   * label through the whole share in one round (with 16 dynamically
   * claimed blocks per task, Label-Prop on the 512x512 torus took 5x longer).
   */
-final class Frontier(g: HostGraph) {
+final class Frontier(g: HostGraph, labels: AtomicIntegerArray) {
   var cur: Array[Int] = new Array[Int](16)
   var size: Int = 0
   private val next = new Array[Int](g.n)
@@ -78,11 +78,12 @@ final class Frontier(g: HostGraph) {
     var fi = lo
     while (fi < hi) {
       val v = cur(fi)
+      val l = labels.get(v)
       var j = g.offsets(v)
       val end = g.offsets(v + 1)
       while (j < end) {
         val w = g.targets(j)
-        if (visit.visit(v, w)) {
+        if (visit.visit(v, l, w)) {
           if (len == buf.length) buf = java.util.Arrays.copyOf(buf, len * 2)
           buf(len) = w; len += 1
         }
@@ -96,12 +97,13 @@ final class Frontier(g: HostGraph) {
 
 object Frontier {
   /** The per-edge step of a round, called concurrently: claim w from
-    * frontier vertex v atomically; whether w joins the next frontier.
+    * frontier vertex v, whose label is l, atomically; whether w joins
+    * the next frontier.
     * [[Claim]] and Label-Prop's are the only two classes, so the JIT
     * inlines both at the shared call; with a third, Table 6's LDD
     * sampling ran about 20% slower.
     */
-  abstract class Visit { def visit(v: Int, w: Int): Boolean }
+  abstract class Visit { def visit(v: Int, l: Int, w: Int): Boolean }
 
   /** The claim of BFS and LDD sampling: an unclaimed w joins the cluster
     * of v. It takes v's label in `ctx.parents` and, in forest runs, the
@@ -110,9 +112,9 @@ object Frontier {
   final class Claim(ctx: RunCtx) extends Visit {
     val claimed = new AtomicIntegerArray(ctx.n)
 
-    def visit(v: Int, w: Int): Boolean =
+    def visit(v: Int, l: Int, w: Int): Boolean =
       claimed.get(w) == 0 && claimed.compareAndSet(w, 0, 1) && {
-        ctx.parents.set(w, ctx.parents.get(v))
+        ctx.parents.set(w, l)
         val fo = ctx.forest
         if (fo != null) fo.set(w, Edge.pack(v, w))
         true

@@ -309,7 +309,7 @@ object MinBased {
     * [[Frontier]] rounds, starting from every vertex. Ends in a barrier.
     */
   final class LabelProp(g: HostGraph, ctx: RunCtx) extends Frontier.Visit with Frontier.Kernel {
-    private val f = new Frontier(g)
+    private val f = new Frontier(g, ctx.parents)
     /** Round in which each vertex last joined the next frontier. */
     private val stamp = new AtomicIntegerArray(g.n)
     /** The round being run (from 1); written by task 0 between barriers. */
@@ -320,12 +320,9 @@ object MinBased {
     def apply(t: Par.Task): Unit =
       f.rounds(t, this, this) { f.cur = Array.range(0, g.n); f.size = g.n }
 
-    def visit(v: Int, w: Int): Boolean = {
-      val p = ctx.parents
-      val l = p.get(v)
-      // w joins the next frontier once per round
-      l < p.get(w) && writeMin(p, w, l) && stamp.get(w) != round && stamp.getAndSet(w, round) != round
-    }
+    // w joins the next frontier once per round
+    def visit(v: Int, l: Int, w: Int): Boolean =
+      l < ctx.parents.get(w) && writeMin(ctx.parents, w, l) && stamp.get(w) != round && stamp.getAndSet(w, round) != round
 
     def endRound(): Boolean = {
       round += 1

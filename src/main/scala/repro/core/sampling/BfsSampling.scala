@@ -47,7 +47,7 @@ object BfsSampling {
     * step instead, split across the tasks.
     */
   final class Bfs(g: HostGraph, ctx: RunCtx) extends Frontier.Kernel {
-    private val f = new Frontier(g)
+    private val f = new Frontier(g, ctx.parents)
     private val claim = new Frontier.Claim(ctx)
     /** The source of the current BFS; written by task 0 between barriers. */
     private var src = -1

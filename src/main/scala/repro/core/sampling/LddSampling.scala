@@ -54,7 +54,7 @@ object LddSampling {
     private val order = new Array[Int](n)
     private var bucketStart: Array[Int] = _
     private val claim = new Frontier.Claim(ctx)
-    private val f = new Frontier(g)
+    private val f = new Frontier(g, ctx.parents)
     /** Task 0's round state: the next round to wake, and the vertices claimed so far. */
     private var round = 0
     private var claimedCount = 0

@@ -124,7 +124,7 @@ class SamplingSpec extends SparkSpec {
       }
       // round r's frontier is the vertices that arrive in round r
       val work = (0 to arrival.max).map { r =>
-        val f = new Frontier(g)
+        val f = new Frontier(g, new java.util.concurrent.atomic.AtomicIntegerArray(n))
         (0 until n).filter(arrival(_) == r).foreach(f.add)
         f.work
       }
