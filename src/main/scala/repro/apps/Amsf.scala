@@ -47,7 +47,7 @@ object Amsf {
     (idx.map(edges), idx.map(w))
   }
 
-  /** One AMSF run as one gang job: a bucket is a dynamically split pass
+  /** One AMSF run as one gang run: a bucket is a dynamically split pass
     * over its edges, and the barrier that ends it orders the buckets.
     */
   def run(spark: SparkSession, g: HostGraph, w: Array[Double],

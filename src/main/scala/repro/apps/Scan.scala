@@ -24,7 +24,7 @@ object Scan {
 
   /** Build the similarity index with a parallel merge-intersection over
     * the sorted CSR adjacency (the GS*-Index construction step), in one
-    * gang job over slot blocks.
+    * gang run over slot blocks.
     */
   def buildIndex(spark: SparkSession, g: HostGraph): Index = {
     val sim = new Array[Double](g.targets.length)
@@ -111,7 +111,7 @@ object Scan {
     labels
   }
 
-  /** ConnectIt-parallelized GS*-Query in one gang job: cluster cores
+  /** ConnectIt-parallelized GS*-Query in one gang run: cluster cores
     * with a concurrent union-find, resolve their labels, then attach the
     * borders.
     */

@@ -294,7 +294,7 @@ object Tables {
   // ============================================================= Table 8
   /** MapEdges / GatherEdges primitives vs the fastest ConnectIt times
     * with and without sampling. Every cell is the wall time of one whole
-    * call (each a gang job), the better of a warm-up run and a timed run.
+    * call (each a gang run), the better of a warm-up run and a timed run.
     */
   def table8(spark: SparkSession): Seq[String] = {
     val rows = GraphSuite.all(spark).map { case (name, g) =>
@@ -308,7 +308,7 @@ object Tables {
   }
 
   /** Sum of `block(lo, hi)` over the slot blocks of `g`
-    * ([[HostGraph.forSlotBlocks]]), as one gang job.
+    * ([[HostGraph.forSlotBlocks]]), as one gang run.
     */
   private def sumOverSlotBlocks(spark: SparkSession, g: HostGraph, run: String)
                                (block: (Int, Int) => Long): Long = {

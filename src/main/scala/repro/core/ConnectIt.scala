@@ -33,7 +33,7 @@ object ConnectIt {
 
   /** Algorithm 1/2. A forest of `finish` must pass [[Options.requireForest]].
     *
-    * The whole run is one gang job ([[Par.gang]]): sampling,
+    * The whole run is one gang run ([[Par.gang]]): sampling,
     * normalization, frequent label, finish and label resolution are
     * rounds of it. Task 0 times the phases at the barriers that start the
     * run, end sampling (after the frequent label) and end the finish; job
@@ -117,7 +117,7 @@ object ConnectIt {
     def apply(t: Par.Task): Unit = { sample(t); normalize(t); frequent(t) }
   }
 
-  /** Sampling and normalization alone, in one gang job: the sampling
+  /** Sampling and normalization alone, in one gang run: the sampling
     * phase for every caller outside [[connectivity]] (Tables 6, 7,
     * WorkeffCC). The normalized labels are left in `ctx.sampled`.
     */
@@ -129,7 +129,7 @@ object ConnectIt {
   }
 
   // ------------------------------------------------------- normalization
-  /** [[Normalize]] in its own gang job; a benchmark hook, as callers
+  /** [[Normalize]] in its own gang run; a benchmark hook, as callers
     * that run the sampling phase use [[sampleAndNormalize]].
     */
   def normalizeSampled(spark: SparkSession, ctx: RunCtx): Unit =
@@ -207,7 +207,7 @@ object ConnectIt {
     best
   }
 
-  /** Frequent label of `ctx.sampled` in its own gang job: a benchmark
+  /** Frequent label of `ctx.sampled` in its own gang run: a benchmark
     * hook, as [[connectivity]] runs [[FrequentLabel]] inside its own gang.
     */
   def identifyFrequentPar(spark: SparkSession, ctx: RunCtx): Int = {
@@ -300,7 +300,7 @@ object ConnectIt {
 
   // ------------------------------------------------------ sampling stats
   /** (coverage, inter-component edge fraction) of the sampled labeling —
-    * the quantities of Tables 6 and 7 — counted in one gang job: each task
+    * the quantities of Tables 6 and 7 — counted in one gang run: each task
     * counts the frequent label's members in its share of the vertices and
     * the inter-component slots of the slot blocks it claims.
     */

@@ -1,27 +1,37 @@
 package repro.core
 
 import java.util.concurrent.{Phaser, TimeUnit, TimeoutException}
-import java.util.concurrent.atomic.{AtomicInteger, AtomicLong, AtomicReference}
-import org.apache.spark.TaskContext
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong, AtomicReference, AtomicReferenceArray}
+import java.util.concurrent.locks.LockSupport
+import org.apache.spark.{SparkContext, TaskContext}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerApplicationEnd, SparkListenerJobStart}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
+import scala.concurrent.ExecutionContext
 import repro.graph.SharedState
 
 /** Spark-side parallel execution: the substrate for all kernels.
   *
-  * Every kernel runs through [[gang]]: a whole multi-round computation is
-  * ONE barrier-mode Spark job whose P tasks (P = the task slots of the
-  * local master) start together and stay alive for the run. The paper's
-  * fork-join barrier between rounds is a `java.util.concurrent.Phaser`
-  * shared by the tasks, costing tens of microseconds instead of a job
-  * launch; Spark's own `BarrierTaskContext.barrier()` is an RPC round
-  * trip through the driver, about a second per call, so it is not used.
-  * Below [[GrainSize]] of work the body runs on the calling thread as a
-  * gang of one. A gang body is registered in [[SharedState]] and never
-  * serialized, so it captures the run's shared objects directly; this is
-  * valid only in local mode, which [[gang]] checks. [[eachPartition]]
-  * hands a registered body the rows of an existing RDD's partitions (the
-  * graph intake); every parallel loop after it is a gang body.
+  * Every kernel runs through [[gang]]: a whole multi-round computation
+  * runs on P tasks (P = the task slots of the local master) that start
+  * together and stay alive for the run. The tasks are those of the
+  * resident crew, ONE barrier-mode Spark job that the first gang run
+  * starts and whose tasks park between runs, as the paper's worker
+  * threads live across parallel regions; a run costs a hand-off, not a
+  * job launch. The crew leaves before graph intake ([[eachPartition]]),
+  * as any other Spark job starts, at application end, or after
+  * [[IdleLingerNs]] without a run; the next gang starts a new one. The
+  * paper's fork-join barrier between rounds is a
+  * `java.util.concurrent.Phaser` shared by the tasks, costing tens of
+  * microseconds; Spark's own `BarrierTaskContext.barrier()` is an RPC
+  * round trip through the driver, about a second per call, so it is not
+  * used. Below [[GrainSize]] of work the body runs on the calling thread
+  * as a gang of one. A gang body is handed to the tasks in memory and
+  * never serialized, so it captures the run's shared objects directly;
+  * this is valid only in local mode, which [[gang]] checks.
+  * [[eachPartition]] hands a body registered in [[SharedState]] the rows
+  * of an existing RDD's partitions (the graph intake); every parallel
+  * loop after it is a gang body.
   */
 object Par {
   /** Granularity control: below this estimated work a [[gang]] runs on
@@ -66,7 +76,7 @@ object Par {
       case LocalN("*") => cores
       case LocalN(k) => k.toInt
       case other => throw new IllegalArgumentException(
-        s"gang jobs need a local master (local, local[N], local[*]); got '$other'")
+        s"gang runs need a local master (local, local[N], local[*]); got '$other'")
     }
     math.max(1, n / math.max(1, taskCpus))
   }
@@ -79,29 +89,35 @@ object Par {
 
   private val gangCounter = new AtomicLong(0)
 
-  /** Run `body` on P tasks of one barrier-mode Spark job, P = the task
-    * slots, so every task of the gang can start at once. The tasks
-    * synchronize through [[Task.sync]]. If a task throws, its peers stop
-    * at their next barrier and this call throws the original exception.
-    * `run` names the run in errors. If `work` is below [[GrainSize]] the
-    * body runs on the calling thread as a gang of one, whose barriers
-    * return at once.
+  /** Run `body` on the P tasks of the resident crew, P = the task slots,
+    * so every task of the gang runs at once. The tasks synchronize through
+    * [[Task.sync]]. If a task throws, its peers stop at their next barrier
+    * and this call throws the original exception; if the crew's Spark job
+    * ends mid-run (killed or cancelled), this call fails with an error
+    * that names the run. `run` names the run in errors. If `work` is below
+    * [[GrainSize]] the body runs on the calling thread as a gang of one,
+    * whose barriers return at once.
     */
   def gang(spark: SparkSession, run: String, work: Long = Long.MaxValue)(body: Task => Unit): Unit = {
     if (work < GrainSize) { new Gang(run, 1, body).runTask(0); return }
-    val size = taskSlots(spark)
-    val key = s"gang:$run#${gangCounter.incrementAndGet()}"
-    val g = new Gang(key, size, body)
-    SharedState.put(key, g)
-    try {
-      spark.sparkContext.parallelize(0 until size, size).barrier()
-        .mapPartitions { it => SharedState.get[Gang](key).runTask(it.next()); Iterator.empty[Int] }
-        .count()
-    } catch {
-      case e: Throwable =>
-        g.abort()
-        throw Option(g.failure.get).getOrElse(e)
-    } finally SharedState.remove(key)
+    val g = new Gang(s"gang:$run#${gangCounter.incrementAndGet()}", taskSlots(spark), body)
+    val sc = spark.sparkContext
+    crewLock.synchronized {
+      var c = crew
+      while (c == null || (c.sc ne sc) || !c.execute(g)) c = Crew.launch(sc, g.size)
+    }
+    Option(g.failure.get).foreach(e => throw e)
+  }
+
+  /** Sends the resident crew away, if there is one: its tasks finish the
+    * run in progress, if any, and their Spark job ends, freeing the task
+    * slots for another job. The next [[gang]] starts a new crew.
+    */
+  def release(spark: SparkSession): Unit = release(spark.sparkContext)
+
+  private def release(sc: SparkContext): Unit = {
+    val c = crew
+    if (c != null && (c.sc eq sc)) c.release()
   }
 
   /** Run `f(partition, rows)` on every partition of `rdd` in one Spark
@@ -110,6 +126,7 @@ object Par {
     * If a task throws, this call throws that task's exception.
     */
   def eachPartition[T](rdd: RDD[T], run: String)(f: (Int, Iterator[T]) => Unit): Unit = {
+    release(rdd.sparkContext)
     val key = s"part:$run#${gangCounter.incrementAndGet()}"
     val failure = new AtomicReference[Throwable]()
     val body: (Int, Iterator[T]) => Unit = (p, it) =>
@@ -141,8 +158,9 @@ object Par {
   private final class PeerFailed(run: String)
     extends RuntimeException(s"$run: stopped because a peer task failed", null, false, false)
 
-  /** Shared state of one gang run: the round barrier, the first failure
-    * and the cursors of dynamically claimed ranges.
+  /** Shared state of one gang run: the round barrier, the first failure,
+    * the cursors of dynamically claimed ranges and the count of tasks
+    * still in the run.
     */
   private[core] final class Gang(val id: String, val size: Int, body: Task => Unit) {
     private val phaser = new Phaser(size)
@@ -150,9 +168,12 @@ object Par {
     private val live = new AtomicInteger(0)
     /** Cursors of dynamic loops, used alternately (see [[Task.forDynamic]]). */
     val cursors: Array[AtomicInteger] = Array.fill(2)(new AtomicInteger(0))
+    /** Tasks that have not yet left the run, and the thread waiting for them. */
+    private val pending = new AtomicInteger(size)
+    @volatile private var waiter: Thread = null
 
     def runTask(index: Int): Unit = {
-      // a retried attempt of a failed stage must not run the body again
+      // a task that reaches a run after it failed must not run the body
       if (phaser.isTerminated) throw new PeerFailed(id)
       live.incrementAndGet()
       try body(new Task(this, index))
@@ -162,6 +183,18 @@ object Par {
           phaser.forceTermination()
           throw e
       } finally live.decrementAndGet()
+    }
+
+    /** Crew side: one task has left the run, by any path. */
+    def left(): Unit = if (pending.decrementAndGet() == 0) LockSupport.unpark(waiter)
+
+    /** Driver side: parks until every task has left the run, or until
+      * `ended` holds, and returns whether every task left.
+      */
+    def awaitTasks(ended: => Boolean): Boolean = {
+      waiter = Thread.currentThread()
+      while (pending.get > 0 && !ended) LockSupport.parkNanos(this, PollNs)
+      pending.get == 0
     }
 
     def await(round: Int): Unit = {
@@ -177,15 +210,172 @@ object Par {
       if (next < 0) throw new PeerFailed(id)
     }
 
-    /** After a failed job: stop every task at its next barrier and wait
-      * until none is still inside the body, so a failed run leaves nothing
-      * running behind it.
+    /** After the crew's job ended mid-run: stop every task at its next
+      * barrier and wait until none is still inside the body, so a failed
+      * run leaves nothing running behind it.
       */
     def abort(): Unit = {
       phaser.forceTermination()
       val deadline = System.nanoTime() + TimeUnit.SECONDS.toNanos(BarrierTimeoutSec)
       while (live.get() > 0 && System.nanoTime() < deadline) Thread.sleep(1)
     }
+  }
+
+  // ================================================================ crew
+  /** How long a parked crew waits for its next run before it leaves on its
+    * own. A backstop only: any other Spark job sends the crew away as it
+    * starts, so no job waits longer than this behind a parked crew.
+    */
+  private[core] val IdleLingerNs: Long = TimeUnit.SECONDS.toNanos(2)
+
+  /** Longest park of a crew task or of a driver waiting for a run, so that
+    * each sees a killed task or an ended job without a wake-up. Runs are
+    * handed over by direct unparks, not by this poll.
+    */
+  private val PollNs: Long = TimeUnit.MILLISECONDS.toNanos(50)
+
+  /** Longest that SparkContext.stop waits for the crew's tasks to end. */
+  private val StopGraceNs: Long = TimeUnit.SECONDS.toNanos(1)
+
+  /** Local property that tags the crew's own Spark job. */
+  private[core] val CrewTag = "repro.par.crew"
+
+  private val crewCounter = new AtomicLong(0)
+  private val crewLock = new Object
+  /** The resident crew, if any. Set under `crewLock`. */
+  @volatile private var crew: Crew = null
+  /** The context [[CrewListener]] listens on. Under `crewLock`. */
+  private var listening: SparkContext = null
+
+  /** The resident crew: one barrier-mode Spark job of `size` tasks that
+    * stays up across gang runs, as the paper's worker threads do across
+    * parallel regions. Its tasks park between runs. A run is handed over by
+    * publishing its [[Gang]] and unparking them; each task calls
+    * `runTask(index)` on it. The crew leaves when it is released (another
+    * Spark job starts, graph intake, application end), when it has been
+    * idle for [[IdleLingerNs]], or when its job dies.
+    */
+  private final class Crew(val sc: SparkContext, val size: Int) {
+    val id: Long = crewCounter.incrementAndGet()
+    /** The crew's Spark job; -1 until submitted. */
+    @volatile var jobId: Int = -1
+    private val threads = new AtomicReferenceArray[Thread](size)
+    private val serving = new AtomicInteger(0)
+    // the run being handed over, how many were, and whether the crew is
+    // leaving: guarded by this
+    private var run: Gang = null
+    private var runs = 0L
+    private var leaving = false
+    @volatile private var ended = false
+    @volatile private var endCause: Throwable = null
+
+    /** Hands `g` to the tasks and waits until each has left it. Returns
+      * false, running nothing, if the crew is leaving.
+      */
+    def execute(g: Gang): Boolean = {
+      val taken = synchronized { if (!leaving) { run = g; runs += 1 }; !leaving }
+      if (taken) {
+        wake()
+        val done = g.awaitTasks(ended)
+        synchronized { run = null } // the crew must not keep the run's arrays alive
+        if (!done) {
+          g.abort()
+          throw new IllegalStateException(
+            s"${g.id}: the resident gang's Spark job ${jobId} ended during the run", endCause)
+        }
+      }
+      taken
+    }
+
+    /** Task side: runs each run handed over, parked in between, until the
+      * crew leaves.
+      */
+    def serve(index: Int, ctx: TaskContext): Unit = {
+      serving.incrementAndGet()
+      threads.set(index, Thread.currentThread())
+      var seen = 0L
+      var idleFrom = System.nanoTime()
+      var staying = true
+      while (staying) {
+        var g: Gang = null
+        synchronized {
+          if (runs > seen) { seen = runs; g = run }
+          else if (leaving || ctx.isInterrupted() || System.nanoTime() - idleFrom > IdleLingerNs) {
+            leaving = true; staying = false
+          }
+        }
+        if (g != null) {
+          // the gang records a body's failure for the driver to rethrow
+          try g.runTask(index) catch { case _: Throwable => () } finally g.left()
+          idleFrom = System.nanoTime()
+        } else if (staying) LockSupport.parkNanos(this, PollNs)
+      }
+      serving.decrementAndGet()
+      wake()
+    }
+
+    def release(): Unit = { synchronized { leaving = true }; wake() }
+
+    /** The crew's job has ended, by success (every task left) or not.
+      * SparkContext.stop fails the job on its way to stopping the task
+      * scheduler, and that does not wait for status updates in flight; so
+      * then the tasks get until they are back in the executor's pool, and
+      * their updates one poll more, to reach the scheduler first.
+      */
+    def end(cause: Throwable): Unit = {
+      endCause = cause
+      release()
+      ended = true
+      if (sc.isStopped) {
+        val deadline = System.nanoTime() + StopGraceNs
+        def pooled(t: Thread) = t == null ||
+          t.getState == Thread.State.TIMED_WAITING || t.getState == Thread.State.TERMINATED
+        while ((serving.get > 0 || !(0 until size).forall(i => pooled(threads.get(i)))) &&
+               System.nanoTime() < deadline) LockSupport.parkNanos(this, PollNs / 100)
+        LockSupport.parkNanos(this, PollNs)
+      }
+    }
+
+    private def wake(): Unit = {
+      var i = 0
+      while (i < size) { LockSupport.unpark(threads.get(i)); i += 1 }
+    }
+  }
+
+  private object Crew {
+    /** Submits a new crew's job and makes it the resident crew. */
+    def launch(sc: SparkContext, size: Int): Crew = {
+      if (listening ne sc) { sc.addSparkListener(new CrewListener(sc)); listening = sc }
+      val c = new Crew(sc, size)
+      crew = c
+      val id = c.id
+      val tag = sc.getLocalProperty(CrewTag)
+      sc.setLocalProperty(CrewTag, id.toString)
+      val job =
+        try sc.parallelize(0 until size, size).barrier().mapPartitions { it =>
+          val mine = crew
+          if (mine != null && mine.id == id) mine.serve(it.next(), TaskContext.get())
+          Iterator.empty[Int]
+        }.countAsync()
+        finally sc.setLocalProperty(CrewTag, tag)
+      c.jobId = job.jobIds.head
+      job.onComplete(r => c.end(r.failed.toOption.orNull))(ExecutionContext.parasitic)
+      c
+    }
+  }
+
+  /** Sends the crew away when any Spark job not its own starts, so that
+    * job gets the task slots, and when the application ends. Jobs that
+    * started before the crew's own do not send it away.
+    */
+  private final class CrewListener(sc: SparkContext) extends SparkListener {
+    override def onJobStart(e: SparkListenerJobStart): Unit = {
+      val c = crew
+      if (c != null && (c.sc eq sc) && c.jobId < e.jobId &&
+          Option(e.properties).forall(_.getProperty(CrewTag) == null)) c.release()
+    }
+
+    override def onApplicationEnd(e: SparkListenerApplicationEnd): Unit = release(sc)
   }
 
   /** One task's view of a gang run. All tasks must make the same

@@ -17,7 +17,7 @@ import repro.graph.{GraphGen, HostGraph}
   */
 object KOutSampling {
 
-  /** Run k-out sampling in its own gang job: a benchmark hook, as
+  /** Run k-out sampling in its own gang run: a benchmark hook, as
     * callers that run the sampling phase use `ConnectIt.sampleAndNormalize`.
     */
   def sample(spark: SparkSession, g: HostGraph, ctx: RunCtx,

@@ -19,7 +19,7 @@ import repro.graph.{GraphGen, HostGraph}
   */
 object LddSampling {
 
-  /** Run LDD sampling in its own gang job: a benchmark hook, as callers
+  /** Run LDD sampling in its own gang run: a benchmark hook, as callers
     * that run the sampling phase use `ConnectIt.sampleAndNormalize`.
     */
   def sample(spark: SparkSession, g: HostGraph, ctx: RunCtx,

@@ -110,7 +110,7 @@ object HostGraph {
     *
     * One Spark job reads each partition's rows as they are (no shuffle)
     * and packs them into a primitive array: oriented u < v, self-loops and
-    * rows with a null endpoint dropped. One gang job then builds the CSR
+    * rows with a null endpoint dropped. One gang run then builds the CSR
     * from those arrays and dedupes each vertex's neighbours ([[build]]).
     * Both steps together are timed as the paper's "load time" (Table 2).
     *
@@ -228,7 +228,7 @@ object HostGraph {
     }
   }
 
-  /** The CSR build behind both intakes, as one gang job over the samples:
+  /** The CSR build behind both intakes, as one gang run over the samples:
     *  1. each task counts both endpoints of its share of the samples in its
     *     own count array;
     *  2. task 0 lays out one slot region per vertex, split by task, and

@@ -9,12 +9,13 @@ import java.util.concurrent.ConcurrentHashMap
   * task executes in the driver JVM, so Spark task threads can play the
   * role of the paper's threads — provided the shared objects are
   * reachable without being captured (and thus copied) by task closures.
-  * This registry is that reach-around: a gang run (`Par.gang`) or a
-  * per-partition intake job (`Par.eachPartition`) registers its body
-  * under one key, and each task, whose closure carries only the key,
-  * fetches the body, which holds the run's arrays directly. Graphs and
-  * run contexts register only so that tests can check that a run leaves
-  * nothing behind; no task looks them up.
+  * This registry is that reach-around for the per-partition intake job
+  * (`Par.eachPartition`): it registers its body under one key, and each
+  * task, whose closure carries only the key, fetches the body, which
+  * holds the run's arrays directly. (A gang run reaches the resident
+  * crew's tasks through `Par` itself.) Graphs and run contexts register
+  * only so that tests can check that a run leaves nothing behind; no task
+  * looks them up.
   *
   * This is a deliberate, documented substitution (see DESIGN.md): it is
   * only valid in local mode, which is exactly the paper's setting (a

@@ -6,6 +6,7 @@ import org.apache.spark.scheduler.{SparkListener, SparkListenerJobEnd, SparkList
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.Par
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
@@ -20,8 +21,10 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
   override def afterAll(): Unit = { super.afterAll() }
 
-  /** Number of Spark jobs `f` launches, counted by a SparkListener. A
-    * sentinel job drains the asynchronous listener bus before counting.
+  /** Number of Spark jobs `f` launches, counted by a SparkListener. The
+    * resident gang crew is released first, so `f`'s first gang run starts
+    * a crew of its own and counts as one job. A sentinel job drains the
+    * asynchronous listener bus before counting.
     */
   def jobsOf(f: => Unit): Int = {
     val started = new AtomicInteger(0)
@@ -37,6 +40,7 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     val sc = spark.sparkContext
     sc.addSparkListener(l)
     try {
+      Par.release(spark)
       f
       sc.setLocalProperty("repro.sentinel", "1")
       try sc.parallelize(Seq(1), 1).count() finally sc.setLocalProperty("repro.sentinel", null)
