@@ -226,7 +226,7 @@ object Par {
     * own. A backstop only: any other Spark job sends the crew away as it
     * starts, so no job waits longer than this behind a parked crew.
     */
-  private[core] val IdleLingerNs: Long = TimeUnit.SECONDS.toNanos(2)
+  private[core] val IdleLingerNs: Long = TimeUnit.SECONDS.toNanos(5)
 
   /** Longest park of a crew task or of a driver waiting for a run, so that
     * each sees a killed task or an ended job without a wake-up. Runs are
