@@ -149,8 +149,10 @@ object ConnectIt {
     def apply(t: Par.Task): Unit = {
       val p = ctx.parents
       val (lo, hi) = t.range(ctx.n)
+      // plain stores in the first and third passes: no peer reads these
+      // slots before the barrier that ends the pass, which publishes them
       var v = lo
-      while (v < hi) { minRep.set(v, Int.MaxValue); v += 1 }
+      while (v < hi) { minRep.setPlain(v, Int.MaxValue); v += 1 }
       if (t.index == 0) ctx.sampled = labels
       t.sync()
       // sampling leaves trees of any height; no task writes parents here
@@ -166,7 +168,7 @@ object ConnectIt {
       v = lo
       while (v < hi) {
         val l = minRep.get(labels(v))
-        p.set(v, l)
+        p.setPlain(v, l)
         labels(v) = l
         v += 1
       }

@@ -6,9 +6,10 @@ import repro.graph.{Edge, HostGraph}
 /** The one frontier round of BFS and LDD sampling and Label-Prop: the
   * sparse `edgeMap` of Ligra, in which the paper writes all three
   * (§3.2.2, B.2.6). A round pushes each frontier vertex's label (in
-  * `labels`) along its CSR slots through a [[Frontier.Visit]]. A round whose estimated [[work]] reaches
-  * [[Par.GrainSize]] is split across the tasks; runs of smaller rounds go
-  * back to back on task 0 inside one task-0 step. A split gives each task
+  * `labels`) along its CSR slots through a [[Frontier.Visit]]. A round
+  * whose estimated [[work]] reaches [[Frontier.SplitWork]] is split across
+  * the tasks at the price of two barriers; runs of smaller rounds go back
+  * to back on task 0 inside one task-0 step. A split gives each task
   * one contiguous share: a sweep through it carries Label-Prop's smallest
   * label through the whole share in one round (with 16 dynamically
   * claimed blocks per task, Label-Prop on the 512x512 torus took 5x longer).
@@ -20,6 +21,11 @@ final class Frontier(g: HostGraph, labels: AtomicIntegerArray) {
   private val nextCnt = new AtomicInteger(0)
   /** Whether another round is due; written by task 0 between barriers. */
   private var more = false
+  /** Rounds run so far split across the tasks and on task 0 alone;
+    * written by task 0 between barriers.
+    */
+  private[core] var splitRounds = 0
+  private[core] var serialRounds = 0
 
   /** Task 0: append `v` to the current frontier. */
   def add(v: Int): Unit = {
@@ -57,7 +63,10 @@ final class Frontier(g: HostGraph, labels: AtomicIntegerArray) {
     t.single { start; more = k.endRound() && smallRounds(visit, k) }
     while (more) {
       if (k.dense) k.denseRound(t)
-      else { val (lo, hi) = t.range(size); push(lo, hi, visit); t.sync() }
+      else {
+        if (t.index == 0) splitRounds += 1
+        val (lo, hi) = t.range(size); push(lo, hi, visit); t.sync()
+      }
       t.single { advance(); more = k.endRound() && smallRounds(visit, k) }
     }
   }
@@ -67,7 +76,9 @@ final class Frontier(g: HostGraph, labels: AtomicIntegerArray) {
     */
   private def smallRounds(visit: Frontier.Visit, k: Frontier.Kernel): Boolean = {
     var go = true
-    while (go && !k.dense && work < Par.GrainSize) { push(0, size, visit); advance(); go = k.endRound() }
+    while (go && !k.dense && work < Frontier.SplitWork) {
+      push(0, size, visit); advance(); serialRounds += 1; go = k.endRound()
+    }
     go
   }
 
@@ -96,6 +107,19 @@ final class Frontier(g: HostGraph, labels: AtomicIntegerArray) {
 }
 
 object Frontier {
+  /** The least estimated [[Frontier.work]] of a round that is split across
+    * the tasks; smaller rounds run on task 0, saving the two barriers a
+    * split round costs (the round's own and the task-0 step after it).
+    * Measured on the 512x512 torus with 4 tasks on 4 vCPUs: a barrier
+    * costs about 1-1.6 us and a task-0 push about 15-19 ns per work unit,
+    * so a round at this threshold is 30-40 us of serial work against
+    * about 3 us of barriers. Over thresholds from 256 to 65536, LDD
+    * (beta 0.2) plus UF-Rem-CAS took a median 22.2-23.7 ms from 256 to
+    * 8192 and 28.0 ms at 65536; Label-Prop took 13.0-14.3 ms from 256 to
+    * 2048 and 16.0-17.4 ms from 8192 up.
+    */
+  private[core] val SplitWork: Long = 2048L
+
   /** The per-edge step of a round, called concurrently: claim w from
     * frontier vertex v, whose label is l, atomically; whether w joins
     * the next frontier.

@@ -309,7 +309,7 @@ object MinBased {
     * [[Frontier]] rounds, starting from every vertex. Ends in a barrier.
     */
   final class LabelProp(g: HostGraph, ctx: RunCtx) extends Frontier.Visit with Frontier.Kernel {
-    private val f = new Frontier(g, ctx.parents)
+    private[core] val f = new Frontier(g, ctx.parents)
     /** Round in which each vertex last joined the next frontier. */
     private val stamp = new AtomicIntegerArray(g.n)
     /** The round being run (from 1); written by task 0 between barriers. */

@@ -101,7 +101,8 @@ object LddSampling {
         var i = bucketStart(round)
         while (i < bucketStart(round + 1)) {
           val c = order(i)
-          if (claim.claimed.compareAndSet(c, 0, 1)) f.add(c)
+          // most members of the late, large buckets are claimed already
+          if (claim.claimed.get(c) == 0 && claim.claimed.compareAndSet(c, 0, 1)) f.add(c)
           i += 1
         }
       }

@@ -23,15 +23,28 @@ class MinBasedSpec extends SparkSpec {
   }
 
   test("Label-Prop splits wide rounds across tasks and runs narrow ones on task 0") {
-    // the first rounds' frontier work crosses GrainSize, the later ones
-    // do not, so both the split path and the task-0 path run
-    val g = HostGraph.fromEdges(spark, GraphGen.torus2d(spark, 300, 300))
+    // The 300x300 torus's first rounds cross Frontier.SplitWork. Its
+    // later rounds stay wide below 4 tasks, where a few sweeps flood it,
+    // so a path rides along whose smallest vertex m sits at one end, the
+    // ids falling away from it (m, m + 199, m + 198, ..., m + 1): m's
+    // label moves one hop a round, and those one-vertex rounds run on
+    // task 0 at any number of tasks.
+    val torus = GraphGen.torus2d(spark, 300, 300)
+    val m = 300 * 300
+    val path = (m +: (m + 199 to m + 1 by -1)).sliding(2).map(p => (p(0), p(1))).toSeq
+    val g = HostGraph.fromEdges(spark, torus.union(spark.createDataFrame(path).toDF(torus.columns: _*)))
     try {
-      assert(2 * g.m >= Par.GrainSize)
       val ref = Reference.cc(g)
+      assert(Reference.numComponents(ref) == 2)
       for (rep <- 1 to 20) {
-        val res = ConnectIt.connectivity(spark, g, NoSampling, LabelPropOpt)
-        assert(Reference.samePartition(res.labels, ref), s"repetition $rep")
+        val ctx = RunCtx.create(g.n)
+        try {
+          val lp = new minbased.MinBased.LabelProp(g, ctx)
+          Par.gang(spark, s"labelprop-$rep")(lp(_))
+          assert(Reference.samePartition(Array.tabulate(g.n)(ctx.parents.get), ref), s"repetition $rep")
+          assert(lp.f.splitRounds > 0 && lp.f.serialRounds > 0,
+            s"repetition $rep: ${lp.f.splitRounds} split rounds, ${lp.f.serialRounds} on task 0")
+        } finally ctx.unregister()
       }
     } finally g.unregister()
   }

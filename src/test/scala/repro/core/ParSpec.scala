@@ -86,6 +86,58 @@ class ParSpec extends SparkSpec {
     Par.gang(spark, "after-failure")(_.sync())
   }
 
+  test("a task failing while its peers spin at the barrier fails the call within 1 s with its own exception") {
+    final class Boom extends RuntimeException("boom in round 50")
+    Par.gang(spark, "spin-warm")(_.sync()) // the crew is up before the clock starts
+    for (rep <- 1 to 5) {
+      val boom = new Boom
+      var e: Boom = null
+      // the peers reach round 50's barrier with no work in between, so the
+      // last task throws while they spin there
+      val sec = secondsOf {
+        e = intercept[Boom] {
+          Par.gang(spark, s"spin-failing-$rep") { t =>
+            var r = 0
+            while (r < 100) {
+              if (r == 50 && t.index == t.size - 1) throw boom
+              t.sync()
+              r += 1
+            }
+          }
+        }
+      }
+      assert(e eq boom)
+      assert(sec < 1.0, s"rep $rep: failure took ${sec}s")
+    }
+    Par.gang(spark, "after-spin-failure")(_.sync())
+  }
+
+  test("10,000 barrier rounds complete, and every task sees each round's writes") {
+    val p = Par.taskSlots(spark)
+    val rounds = 10000
+    // round r writes row r mod 2: a task can write row r + 1 only after
+    // the barrier of round r + 1, which every peer reaches only after
+    // reading row r
+    val rows = Array.ofDim[Int](2, p)
+    val seen = new AtomicIntegerArray(p)
+    Par.gang(spark, "many-rounds") { t =>
+      var ok = 0
+      var r = 1
+      while (r <= rounds) {
+        val row = rows(r & 1)
+        row(t.index) = r
+        t.sync()
+        var all = true
+        var i = 0
+        while (i < t.size) { if (row(i) != r) all = false; i += 1 }
+        if (all) ok += 1
+        r += 1
+      }
+      seen.set(t.index, ok)
+    }
+    assert((0 until p).forall(seen.get(_) == rounds), (0 until p).map(seen.get).mkString(","))
+  }
+
   test("a gang below GrainSize runs on the calling thread as a gang of one") {
     val caller = Thread.currentThread()
     var sizes = List.empty[Int]

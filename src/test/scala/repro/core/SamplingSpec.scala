@@ -59,7 +59,7 @@ class SamplingSpec extends SparkSpec {
 
   test("BFS splits a wide top-down level across tasks and claims each vertex once") {
     // center 0 -> 40 hubs -> the same 2048 leaves: the hubs' level has
-    // more frontier edges than Par.GrainSize, so the tasks claim the
+    // more frontier edges than Frontier.SplitWork, so the tasks claim the
     // leaves concurrently; the leaves' level is bottom-up
     val hubs = 40
     val leaves = 2048
@@ -99,10 +99,10 @@ class SamplingSpec extends SparkSpec {
   }
 
   test("LDD puts every vertex in a cluster whose center reaches it first (MPX), 20 repetitions") {
-    // The 512x512 torus has LDD rounds on both sides of GrainSize, so both
-    // the split rounds and the task-0 rounds run. A claim race picks among
-    // clusters that arrive in the same round, so the property is exact at
-    // any number of tasks.
+    // The 512x512 torus has LDD rounds on both sides of
+    // Frontier.SplitWork, so both the split rounds and the task-0 rounds
+    // run. A claim race picks among clusters that arrive in the same
+    // round, so the property is exact at any number of tasks.
     val (beta, seed) = (0.2, 41L)
     val g = HostGraph.fromEdges(spark, GraphGen.torus2d(spark, 512, 512))
     try {
@@ -128,7 +128,7 @@ class SamplingSpec extends SparkSpec {
         (0 until n).filter(arrival(_) == r).foreach(f.add)
         f.work
       }
-      assert(work.count(_ >= Par.GrainSize) > 0 && work.count(w => w > 0 && w < Par.GrainSize) > 0,
+      assert(work.count(_ >= Frontier.SplitWork) > 0 && work.count(w => w > 0 && w < Frontier.SplitWork) > 0,
         s"rounds' work: ${work.mkString(",")}")
       val before = SharedState.size
       for (rep <- 1 to 20) {
