@@ -53,6 +53,14 @@ class Table5Bench extends SparkSpec {
   }
 }
 
+class GrainBench extends SparkSpec {
+  test("Crew cut-off: streaming batches and empty gangs, inline vs on the crew") {
+    val rows = Tables.grain(spark)
+    // 7 op counts (1k to 64k) + the crossover line
+    assert(rows.size == 7 + 1)
+  }
+}
+
 class Table6Bench extends SparkSpec {
   test("Table 6: BFS and LDD sampling quality") {
     val rows = Tables.table6(spark)

@@ -5,7 +5,7 @@ import org.apache.spark.sql.SparkSession
 import repro.core.{ConnectIt, Par, RunCtx}
 import repro.core.Options._
 import repro.baselines.Baselines
-import repro.graph.{Edge, HostGraph, Reference}
+import repro.graph.{Edge, GraphGen, HostGraph, Reference}
 import repro.streaming.{Incremental, StingerLike}
 
 /** Benchmark harnesses, one per evaluation table of the paper. Each
@@ -23,8 +23,8 @@ object Tables {
   def fmt(s: Double): String =
     if (s == 0.0) "0" else if (s < 0.01) f"$s%.2e" else f"$s%.3f"
 
-  private def emit(lines: Seq[String]): Seq[String] = {
-    lines.foreach(l => println(s"[table] $l"))
+  private def emit(lines: Seq[String], tag: String = "table"): Seq[String] = {
+    lines.foreach(l => println(s"[$tag] $l"))
     lines
   }
 
@@ -255,6 +255,60 @@ object Tables {
       f"batch=$bs%-9d stinger-like=${fmt(stPer)}s (${bs / stPer}%.3g upd/s)   connectit=${fmt(ciPer)}s (${bs / ciPer}%.3g upd/s)   speedup=${stPer / ciPer}%.0fx"
     }
     emit(rows)
+  }
+
+  // ======================================================= crew cut-off
+  /** The crossover that sets [[Par.GrainSize]]. For each op count, the
+    * wall time of one streaming batch (UF-Rem-CAS; half INSERTs from an
+    * RMAT-20 stream, half uniform ISCONNECTED queries) run inline, as a
+    * gang of one on the calling thread, and on the resident crew; and of
+    * an empty gang either way. Inline and crew batches alternate on one
+    * structure per op count, preloaded with 500k edges, so both see the
+    * same state. Each cell is the median of `reps` batches after `warm`
+    * untimed ones, once the batch path has been compiled. The last row
+    * names the smallest op count at which the crew wins.
+    */
+  def grain(spark: SparkSession, reps: Int = 31, warm: Int = 10): Seq[String] = {
+    val scale = 20
+    val n = 1 << scale
+    val sizes = Seq.tabulate(7)(i => 1024 << i)
+    val preload = 500_000
+    val stream = GraphGen.rmat(spark, scale, preload + (warm + reps).toLong * sizes.max, seed = 3)
+      .collect().map(r => Edge.pack(r.getInt(0), r.getInt(1)))
+    val rnd = new java.util.SplittableRandom(3)
+    def ms(t0: Long): Double = (System.nanoTime() - t0) / 1e6
+    def median(xs: Array[Double]): Double = xs.sorted.apply(xs.length / 2)
+    val modes = Seq(0L, Long.MaxValue) // work estimates: inline, crew
+    // compile the batch path both ways before the first op count is timed
+    val jit = new Incremental(spark, n, UnionFindOpt(UfRemCas, FindNaive, SplitAtomicOne))
+    try stream.grouped(4096).take(400).zipWithIndex.foreach { case (b, i) =>
+      jit.processBatchAt(b, b, modes(i % 2))
+    } finally jit.close()
+    val cells = sizes.map { ops =>
+      val inc = new Incremental(spark, n, UnionFindOpt(UfRemCas, FindNaive, SplitAtomicOne))
+      try {
+        stream.take(preload).grouped(50_000).foreach(b => inc.processBatch(b))
+        val batch, empty = modes.map(_ => new Array[Double](reps))
+        var off = preload
+        for (r <- -warm until reps; (work, m) <- modes.zipWithIndex) {
+          val upd = java.util.Arrays.copyOfRange(stream, off, off + ops / 2)
+          off += ops / 2
+          val qry = Array.fill(ops - ops / 2)(Edge.pack(rnd.nextInt(n), rnd.nextInt(n)))
+          val t0 = System.nanoTime()
+          inc.processBatchAt(upd, qry, work)
+          val tb = ms(t0)
+          val t1 = System.nanoTime()
+          Par.gang(spark, "grain-empty", work)(_ => ())
+          val te = ms(t1)
+          if (r >= 0) { batch(m)(r) = tb; empty(m)(r) = te }
+        }
+        (ops, batch.map(median), empty.map(median))
+      } finally inc.close()
+    }
+    val crossover = cells.collectFirst { case (ops, b, _) if b(1) < b(0) => ops.toString }
+    emit(cells.map { case (ops, b, e) =>
+      f"ops=$ops%-6d inline=${b(0)}%.3fms crew=${b(1)}%.3fms empty-gang inline=${e(0)}%.4fms crew=${e(1)}%.4fms"
+    } :+ s"crew wins from ops=${crossover.getOrElse("none")}", tag = "grain")
   }
 
   // ========================================================= Tables 6, 7

@@ -36,8 +36,10 @@ object ConnectIt {
     * The whole run is one gang run ([[Par.gang]]): sampling,
     * normalization, frequent label, finish and label resolution are
     * rounds of it. Task 0 times the phases at the barriers that start the
-    * run, end sampling (after the frequent label) and end the finish; job
-    * launch and label resolution fall outside `totalSec`.
+    * run, end sampling (after the frequent label) and end the finish. The
+    * run starts once every task has reached its first barrier, so the
+    * hand-off to the crew, the tasks' wake-up and label resolution fall
+    * outside `totalSec`.
     */
   def connectivity(spark: SparkSession, g: HostGraph,
                    sampling: SamplingOpt, finish: FinishOpt,
@@ -56,7 +58,10 @@ object ConnectIt {
       val labels = new Array[Int](g.n)
       val roots = new java.util.concurrent.atomic.AtomicInteger(0)
       Par.gang(spark, ctx.id) { t =>
-        // stamped before the first barrier, so no task has claimed work yet
+        // stamped once every task has reached the first barrier, so the
+        // crew's wake-up is not timed, and before the second, so no task
+        // has claimed work yet
+        t.sync()
         t.single { clock(0) = System.nanoTime() }
         phase1.foreach(_(t))
         if (t.index == 0) clock(1) = System.nanoTime()
@@ -219,23 +224,33 @@ object ConnectIt {
   }
 
   /** Task-side frequent-label identification for large n: argmax over a
-    * fixed-size vertex sample on task 0 (the frequent component the
-    * two-phase optimization targets holds >10% of vertices, so a 64k
-    * sample finds its label with overwhelming probability), then an
-    * exact parallel count of that single candidate. Small n is counted
-    * exactly on task 0. `result` is set on every task when it returns.
+    * fixed-size vertex sample (the frequent component the two-phase
+    * optimization targets holds >10% of vertices, so a 64k sample finds
+    * its label with overwhelming probability), then an exact parallel
+    * count of that single candidate. Each task gathers the labels of its
+    * share of the sample; task 0 counts them. Small n is counted exactly
+    * on task 0. `result` is set on every task when it returns.
     */
   private final class FrequentLabel(ctx: RunCtx) extends (Par.Task => Unit) {
     private val SampleSize = 65536
     @volatile var result: Int = -1
     private var cand = -1
     private val count = new java.util.concurrent.atomic.AtomicLong(0)
+    /** The sampled vertices' labels, in sample order. */
+    private val sample = if (ctx.n > SampleSize) new Array[Int](SampleSize) else null
 
     def apply(t: Par.Task): Unit = {
       val labels = ctx.sampled
       val n = labels.length
       if (n <= SampleSize) { t.single { result = identifyFrequent(labels) }; return }
-      t.single { cand = sampleCandidate(labels) }
+      val (lo, hi) = t.range(SampleSize)
+      var i = lo
+      while (i < hi) {
+        sample(i) = labels(((repro.graph.GraphGen.mix(0x5eed + i) >>> 1) % n).toInt)
+        i += 1
+      }
+      t.sync()
+      t.single { cand = sampleCandidate(n) }
       if (cand >= 0) {
         val (lo, hi) = t.range(n)
         var c = 0L
@@ -248,15 +263,15 @@ object ConnectIt {
     }
 
     /** The most frequent label of the sample (seen at least twice), or
-      * -1; the argmax is tracked as the counts grow.
+      * -1; the argmax is tracked as the counts grow, so of tied labels the
+      * first to reach the top count wins.
       */
-    private def sampleCandidate(labels: Array[Int]): Int = {
-      val n = labels.length
+    private def sampleCandidate(n: Int): Int = {
       val counts = new Array[Int](n)
       var best = -1; var bestC = 1
       var i = 0
       while (i < SampleSize) {
-        val l = labels(((repro.graph.GraphGen.mix(0x5eed + i) >>> 1) % n).toInt)
+        val l = sample(i)
         counts(l) += 1
         if (counts(l) > bestC) { best = l; bestC = counts(l) }
         i += 1

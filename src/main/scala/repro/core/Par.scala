@@ -38,8 +38,27 @@ object Par {
   /** Granularity control: below this estimated work a [[gang]] runs on
     * the calling thread instead of going to the crew. Rounds inside a
     * gang have their own, much smaller threshold ([[Frontier.SplitWork]]).
+    * It is the smallest op count at which a streaming batch ran faster on
+    * the crew than inline: UF-Rem-CAS batches of half INSERTs (RMAT-20)
+    * and half queries on a structure preloaded with 500k edges, medians
+    * of 31 warm batches on 4 tasks (4 vCPUs). Three runs of
+    * `Tables.grain` (`sbt "bench/testOnly repro.bench.GrainBench"`), each
+    * cell the middle run (lowest-highest); all three put the crossover at
+    * 4096, where the crew won by 2-28%, and the inline batch won at 2048.
+    * An empty gang took 0.037-0.086 ms on the crew (the hand-off) and
+    * 0.001-0.003 ms inline.
+    * {{{
+    *   ops     inline ms              crew ms
+    *   1024    0.109 (0.109-0.116)    0.170 (0.169-0.186)
+    *   2048    0.157 (0.143-0.206)    0.236 (0.169-0.293)
+    *   4096    0.308 (0.237-0.338)    0.233 (0.222-0.270)
+    *   8192    0.523 (0.508-0.635)    0.404 (0.364-0.529)
+    *   16384   1.091 (0.943-1.166)    0.697 (0.472-0.777)
+    *   32768   1.557 (1.500-1.651)    1.016 (0.923-1.043)
+    *   65536   2.455 (2.291-2.519)    1.404 (0.895-1.411)
+    * }}}
     */
-  val GrainSize: Long = 65536L
+  val GrainSize: Long = 4096L
 
   /** One plain Spark job of `tasks` tasks running the serialized
     * closure `f(task)`. No kernel uses it; it stays only because the

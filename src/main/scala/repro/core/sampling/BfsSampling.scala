@@ -42,7 +42,7 @@ object BfsSampling {
     * (parents(v): v -> src); records forest tree edges if enabled.
     *
     * Top-down levels are [[Frontier]] rounds, so a level is split across
-    * the tasks only when its frontier's edges reach [[Par.GrainSize]].
+    * the tasks only when its frontier's edges reach [[Frontier.SplitWork]].
     * A level whose frontier holds more than n/20 vertices is a bottom-up
     * step instead, split across the tasks.
     */

@@ -43,7 +43,14 @@ final class Incremental(spark: SparkSession, n: Int, finish: FinishOpt) {
   /** Process one batch of packed INSERT(u,v) edges and ISCONNECTED(u,v)
     * queries; returns one boolean per query.
     */
-  def processBatch(updates: Array[Long], queries: Array[Long] = Array.empty): Array[Boolean] = {
+  def processBatch(updates: Array[Long], queries: Array[Long] = Array.empty): Array[Boolean] =
+    processBatchAt(updates, queries, work = updates.length.toLong + queries.length)
+
+  /** [[processBatch]] with the gang's work estimate given: 0 runs the
+    * batch on the calling thread, `Long.MaxValue` on the crew. Only the
+    * crew cut-off probe (`Tables.grain`) passes its own estimate.
+    */
+  private[repro] def processBatchAt(updates: Array[Long], queries: Array[Long], work: Long): Array[Boolean] = {
     val results = new Array[Boolean](queries.length)
     val apply: Par.Task => Unit = finish match {
       case u: UnionFindOpt =>
@@ -67,7 +74,7 @@ final class Incremental(spark: SparkSession, n: Int, finish: FinishOpt) {
         val store = updates.clone()
         kernel(_, store)
     }
-    Par.gang(spark, ctx.id, work = updates.length.toLong + queries.length) { t =>
+    Par.gang(spark, ctx.id, work) { t =>
       apply(t)
       val (lo, hi) = t.range(queries.length)
       var j = lo

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.{Oracle, SparkSpec, TestGraphs}
 import repro.core.Options._
-import repro.graph.{Reference, SharedState}
+import repro.graph.{GraphGen, HostGraph, Reference, SharedState}
 
 /** Full framework composition: every sampling scheme combined with a
   * representative of every finish family (Algorithm 1), plus
@@ -152,6 +152,71 @@ class ConnectItSpec extends SparkSpec {
         while (v < n) { ctx.sampled(v) = if (v >= n - n / 5) big else v; v += 1 }
         assert(ConnectIt.identifyFrequentPar(spark, ctx) == big)
       } finally ctx.unregister()
+    }
+  }
+
+  /** `connectivity`'s frequent label, computed serially from the sampled
+    * labeling: the most frequent label at 65536 hashed vertex positions
+    * (of tied labels, the first to reach the top count), kept if at least
+    * two vertices carry it.
+    */
+  def serialFrequent(labels: Array[Int]): Int = {
+    val n = labels.length
+    val counts = new Array[Int](n)
+    var best = -1; var bestC = 1
+    for (i <- 0 until 65536) {
+      val l = labels(((GraphGen.mix(0x5eed + i) >>> 1) % n).toInt)
+      counts(l) += 1
+      if (counts(l) > bestC) { best = l; bestC = counts(l) }
+    }
+    if (best >= 0 && labels.count(_ == best) >= 2) best else -1
+  }
+
+  test("frequent label above 65536 vertices matches a serial reference, ties included") {
+    // every graph has degree at most 2, so 2-out (Afforest) sampling takes
+    // every edge and the sampled labeling is the components' minima
+    val n = 100000
+    val hit = new Array[Int](n)
+    for (i <- 0 until 65536) hit(((GraphGen.mix(0x5eed + i) >>> 1) % n).toInt) += 1
+    val order = new scala.util.Random(3).shuffle((0 until n).toVector)
+    // members in a path, one component each
+    def paths(groups: Seq[Seq[Int]]): Array[(Int, Int)] =
+      groups.flatMap(g => g.zip(g.drop(1))).toArray
+    // two components hit exactly `top` times each by the sample; a
+    // third hit `top - 1` times when `third` is set
+    def tie(top: Int, third: Boolean): Seq[Seq[Int]] = {
+      val want = Array(top, top, if (third) top - 1 else 0)
+      val got = new Array[Int](3)
+      val groups = Array.fill(3)(Vector.newBuilder[Int])
+      for (v <- order if hit(v) > 0) {
+        val k = (0 until 3).indexWhere(k => got(k) + hit(v) <= want(k))
+        if (k >= 0) { groups(k) += v; got(k) += hit(v) }
+      }
+      assert(got.toSeq == want.toSeq, "the sample does not fill the tied components")
+      groups.toSeq.map(_.result())
+    }
+    val tied = tie(5000, third = false)
+    val nearTie = tie(3000, third = true)
+    // (name, edges, the labels the answer must be one of, if any)
+    val cases = Seq(
+      ("one large path", paths(Seq(order.take(n / 3))), Seq(order.take(n / 3).min)),
+      ("two tied", paths(tied), tied.take(2).map(_.min)),
+      ("two tied over a near-tie", paths(nearTie), nearTie.take(2).map(_.min)),
+      ("pairs only", paths(order.grouped(2).toSeq), Seq.empty),
+      ("no edges", Array.empty[(Int, Int)], Seq(-1)))
+    for ((name, edges, oneOf) <- cases) {
+      val g = HostGraph.fromArray(spark, n, edges)
+      try {
+        val ref = Reference.cc(g)
+        val minOf = new Array[Int](n)
+        java.util.Arrays.fill(minOf, Int.MaxValue)
+        for (v <- 0 until n) minOf(ref(v)) = math.min(minOf(ref(v)), v)
+        val want = serialFrequent(Array.tabulate(n)(v => minOf(ref(v))))
+        assert(oneOf.isEmpty || oneOf.contains(want), s"$name: reference picked $want")
+        val res = ConnectIt.connectivity(spark, g, KOutSampling(2, KOutAfforest), UnionFindOpt(UfRemCas))
+        assert(res.frequentid == want, s"$name: frequent label")
+        assert(Reference.samePartition(res.labels, ref), s"$name: labels")
+      } finally g.unregister()
     }
   }
 

@@ -71,29 +71,37 @@ class StreamingSpec extends SparkSpec {
   def cc(n: Int, edges: Array[Long]): Array[Int] =
     Reference.cc(n, edges.iterator.map(e => (Edge.src(e), Edge.dst(e))))
 
+  // one algorithm of each type (1: UF-Rem-CAS, 2: SV and LT-CRFA, 3:
+  // UF-Rem-CAS-splice) on both sides of the crew cut-off: a batch of
+  // GrainSize - 1 ops runs inline, then one of GrainSize ops on the crew
   for ((name, alg) <- streamingAlgs
        if Set("UF-Rem-CAS", "UF-Rem-CAS-splice", "SV", "LT-CRFA")(name))
     test(s"$name: a batch of GrainSize ops is 1 Spark job and its answers hold") {
-      val n = 40000
-      val small = stream(n, 500, seed = 5)
-      val big = stream(n, 40000, seed = 6)
-      val queries = stream(n, 40000, seed = 7)
-      assert(big.length + queries.length >= Par.GrainSize)
+      // half INSERTs, half ISCONNECTED queries; with about n INSERTs per
+      // batch, both batches answer some queries true and some false
+      val ops = Par.GrainSize.toInt
+      val n = ops / 2
+      def batch(ops: Int, seed: Long) =
+        (stream(n, ops / 2, seed), stream(n, ops - ops / 2, seed + 1))
       val inc = new Incremental(spark, n, alg)
       try {
-        assert(jobsOf(inc.processBatch(small)) == 0)
-        val pre = cc(n, small)
-        var res: Array[Boolean] = null
-        assert(jobsOf { res = inc.processBatch(big, queries) } == 1)
-        val post = cc(n, small ++ big)
-        assert(Reference.samePartition(inc.labels, post), s"$name diverged")
-        // a true must hold after the batch, a false before it
-        queries.zip(res).foreach { case (q, got) =>
-          val u = Edge.src(q); val v = Edge.dst(q)
-          if (got) assert(post(u) == post(v), s"$name: true ISCONNECTED($u,$v)")
-          else assert(pre(u) != pre(v), s"$name: false ISCONNECTED($u,$v)")
+        var applied = Array.empty[Long]
+        for (((upd, queries), jobs) <- Seq(batch(ops - 1, seed = 5) -> 0, batch(ops, seed = 7) -> 1)) {
+          val pre = cc(n, applied)
+          var res: Array[Boolean] = null
+          assert(jobsOf { res = inc.processBatch(upd, queries) } == jobs,
+            s"$name: a batch of ${upd.length + queries.length} ops")
+          applied ++= upd
+          val post = cc(n, applied)
+          assert(Reference.samePartition(inc.labels, post), s"$name diverged")
+          // a true must hold after the batch, a false before it
+          queries.zip(res).foreach { case (q, got) =>
+            val u = Edge.src(q); val v = Edge.dst(q)
+            if (got) assert(post(u) == post(v), s"$name: true ISCONNECTED($u,$v)")
+            else assert(pre(u) != pre(v), s"$name: false ISCONNECTED($u,$v)")
+          }
+          assert(res.contains(true) && res.contains(false))
         }
-        assert(res.contains(true) && res.contains(false))
       } finally inc.close()
     }
 
