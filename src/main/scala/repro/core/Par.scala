@@ -38,27 +38,29 @@ object Par {
   /** Granularity control: below this estimated work a [[gang]] runs on
     * the calling thread instead of going to the crew. Rounds inside a
     * gang have their own, much smaller threshold ([[Frontier.SplitWork]]).
-    * It is the smallest op count at which a streaming batch ran faster on
-    * the crew than inline: UF-Rem-CAS batches of half INSERTs (RMAT-20)
-    * and half queries on a structure preloaded with 500k edges, medians
-    * of 31 warm batches on 4 tasks (4 vCPUs). Three runs of
-    * `Tables.grain` (`sbt "bench/testOnly repro.bench.GrainBench"`), each
-    * cell the middle run (lowest-highest); all three put the crossover at
-    * 4096, where the crew won by 2-28%, and the inline batch won at 2048.
-    * An empty gang took 0.037-0.086 ms on the crew (the hand-off) and
-    * 0.001-0.003 ms inline.
+    * It is the smallest op count from which the crew was not clearly
+    * slower than running inline in any run of the crossover probe
+    * (`Tables.grain`, `sbt "bench/testOnly repro.bench.GrainBench"`):
+    * UF-Rem-CAS batches of half INSERTs (RMAT-20) and half queries on a
+    * structure preloaded with 500k edges, each cell the median of 31 warm
+    * batches on 4 tasks (4 vCPUs). Five runs; each cell below is the
+    * middle run (lowest-highest). At 4096 ops the crew won three runs by
+    * 2-28% and lost two by 10% and 38%; at 8192 it won four runs by
+    * 28-36% and lost one by 1%; from 16384 on it won every run by 18-61%.
+    * An empty gang took 0.033-0.088 ms on the crew (the hand-off) and
+    * 0.001-0.004 ms inline.
     * {{{
     *   ops     inline ms              crew ms
-    *   1024    0.109 (0.109-0.116)    0.170 (0.169-0.186)
-    *   2048    0.157 (0.143-0.206)    0.236 (0.169-0.293)
-    *   4096    0.308 (0.237-0.338)    0.233 (0.222-0.270)
-    *   8192    0.523 (0.508-0.635)    0.404 (0.364-0.529)
-    *   16384   1.091 (0.943-1.166)    0.697 (0.472-0.777)
-    *   32768   1.557 (1.500-1.651)    1.016 (0.923-1.043)
-    *   65536   2.455 (2.291-2.519)    1.404 (0.895-1.411)
+    *   1024    0.109 (0.086-0.124)    0.170 (0.169-0.208)
+    *   2048    0.157 (0.132-0.228)    0.236 (0.167-0.350)
+    *   4096    0.308 (0.237-0.406)    0.264 (0.222-0.559)
+    *   8192    0.635 (0.508-0.701)    0.447 (0.364-0.529)
+    *   16384   1.057 (0.943-1.166)    0.692 (0.467-0.777)
+    *   32768   1.651 (1.500-1.958)    1.019 (0.923-1.105)
+    *   65536   2.498 (2.291-2.779)    1.404 (0.895-1.411)
     * }}}
     */
-  val GrainSize: Long = 4096L
+  val GrainSize: Long = 8192L
 
   /** One plain Spark job of `tasks` tasks running the serialized
     * closure `f(task)`. No kernel uses it; it stays only because the

@@ -71,9 +71,32 @@ class StreamingSpec extends SparkSpec {
   def cc(n: Int, edges: Array[Long]): Array[Int] =
     Reference.cc(n, edges.iterator.map(e => (Edge.src(e), Edge.dst(e))))
 
+  /** Runs one batch on `inc` and checks it: its Spark job count, the
+    * labeling against `Reference` on `applied ++ upd`, a true answer
+    * after the batch and a false one before it, and both answers present.
+    * Returns the edges applied so far.
+    */
+  def checkBatch(name: String, inc: Incremental, n: Int, applied: Array[Long],
+                 upd: Array[Long], queries: Array[Long], jobs: Int): Array[Long] = {
+    val pre = cc(n, applied)
+    var res: Array[Boolean] = null
+    assert(jobsOf { res = inc.processBatch(upd, queries) } == jobs,
+      s"$name: a batch of ${upd.length + queries.length} ops")
+    val post = cc(n, applied ++ upd)
+    assert(Reference.samePartition(inc.labels, post), s"$name diverged")
+    queries.zip(res).foreach { case (q, got) =>
+      val u = Edge.src(q); val v = Edge.dst(q)
+      if (got) assert(post(u) == post(v), s"$name: true ISCONNECTED($u,$v)")
+      else assert(pre(u) != pre(v), s"$name: false ISCONNECTED($u,$v)")
+    }
+    assert(res.contains(true) && res.contains(false))
+    applied ++ upd
+  }
+
   // one algorithm of each type (1: UF-Rem-CAS, 2: SV and LT-CRFA, 3:
-  // UF-Rem-CAS-splice) on both sides of the crew cut-off: a batch of
-  // GrainSize - 1 ops runs inline, then one of GrainSize ops on the crew
+  // UF-Rem-CAS-splice): a batch of GrainSize - 1 ops runs inline, one of
+  // GrainSize ops on the crew, and a batch of 80000 ops gives each of the
+  // crew's tasks thousands of updates at once
   for ((name, alg) <- streamingAlgs
        if Set("UF-Rem-CAS", "UF-Rem-CAS-splice", "SV", "LT-CRFA")(name))
     test(s"$name: a batch of GrainSize ops is 1 Spark job and its answers hold") {
@@ -86,23 +109,17 @@ class StreamingSpec extends SparkSpec {
       val inc = new Incremental(spark, n, alg)
       try {
         var applied = Array.empty[Long]
-        for (((upd, queries), jobs) <- Seq(batch(ops - 1, seed = 5) -> 0, batch(ops, seed = 7) -> 1)) {
-          val pre = cc(n, applied)
-          var res: Array[Boolean] = null
-          assert(jobsOf { res = inc.processBatch(upd, queries) } == jobs,
-            s"$name: a batch of ${upd.length + queries.length} ops")
-          applied ++= upd
-          val post = cc(n, applied)
-          assert(Reference.samePartition(inc.labels, post), s"$name diverged")
-          // a true must hold after the batch, a false before it
-          queries.zip(res).foreach { case (q, got) =>
-            val u = Edge.src(q); val v = Edge.dst(q)
-            if (got) assert(post(u) == post(v), s"$name: true ISCONNECTED($u,$v)")
-            else assert(pre(u) != pre(v), s"$name: false ISCONNECTED($u,$v)")
-          }
-          assert(res.contains(true) && res.contains(false))
-        }
+        for (((upd, queries), jobs) <- Seq(batch(ops - 1, seed = 5) -> 0, batch(ops, seed = 7) -> 1))
+          applied = checkBatch(name, inc, n, applied, upd, queries, jobs)
       } finally inc.close()
+      val bigN = 40000
+      val large = new Incremental(spark, bigN, alg)
+      try {
+        val small = stream(bigN, 500, seed = 5)
+        assert(jobsOf(large.processBatch(small)) == 0)
+        checkBatch(name, large, bigN, small, stream(bigN, 40000, seed = 6),
+          stream(bigN, 40000, seed = 7), jobs = 1)
+      } finally large.close()
     }
 
   for ((name, alg) <- streamingAlgs if name == "SV" || name == "LT-CRFA")
