@@ -4,6 +4,7 @@ import java.util.concurrent.atomic.AtomicLongArray
 import org.apache.spark.sql.SparkSession
 import repro.core.{Par, RunCtx}
 import repro.core.Options._
+import repro.core.uf.AtomicOps.writeMin
 import repro.core.uf.UnionFind
 import repro.graph.{Edge, GraphGen, HostGraph}
 
@@ -170,16 +171,6 @@ object Amsf {
       val minEdge = new AtomicLongArray(g.n)
       val progress = new Par.Progress
       Par.gang(spark, ctx.id) { t =>
-        val p = ctx.parents
-        @inline def root(x0: Int): Int = {
-          var x = x0; var px = p.get(x)
-          while (px != x) { x = px; px = p.get(x) }
-          x
-        }
-        @inline def wmin(idx: Int, v: Long): Unit = {
-          var cur = minEdge.get(idx)
-          while (v < cur && !minEdge.compareAndSet(idx, cur, v)) cur = minEdge.get(idx)
-        }
         val (vlo, vhi) = t.range(g.n)
         val (elo, ehi) = t.range(es.length)
         var round = 0
@@ -190,8 +181,8 @@ object Amsf {
           var j = elo
           while (j < ehi) {
             val e = es(j)
-            val ru = root(Edge.src(e)); val rv = root(Edge.dst(e))
-            if (ru != rv) { wmin(ru, j.toLong); wmin(rv, j.toLong) }
+            val ru = ctx.root(Edge.src(e)); val rv = ctx.root(Edge.dst(e))
+            if (ru != rv) { writeMin(minEdge, ru, j.toLong); writeMin(minEdge, rv, j.toLong) }
             j += 1
           }
           t.sync()
@@ -207,6 +198,7 @@ object Amsf {
           }
           t.sync()
           round += 1
+          Par.requireConverging(round, "Borůvka")
         } while (progress.changed(round - 1))
       }
       val (wsum, cnt) = forestWeight(edges, w, ctx)

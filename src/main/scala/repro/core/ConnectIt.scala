@@ -163,8 +163,7 @@ object ConnectIt {
       // sampling leaves trees of any height; no task writes parents here
       v = lo
       while (v < hi) {
-        var r = v
-        while (p.get(r) != r) r = p.get(r)
+        val r = ctx.root(v)
         labels(v) = r
         AtomicOps.writeMin(minRep, r, v)
         v += 1

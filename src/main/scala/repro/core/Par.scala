@@ -183,6 +183,13 @@ object Par {
     def changed(round: Int): Boolean = last.get() >= round
   }
 
+  /** Fails the fixpoint loop of `what` once it has completed 100000
+    * rounds: a safety net that turns a rule which does not converge into
+    * an error, not a hang.
+    */
+  def requireConverging(rounds: Int, what: String): Unit =
+    require(rounds < 100000, s"$what did not converge")
+
   /** Thrown at a barrier when a peer has failed; the peer's exception is
     * the one reported.
     */
@@ -436,13 +443,13 @@ object Par {
     /** This task's static share of [0, n). */
     def range(n: Int): (Int, Int) = Par.range(n, size, index)
 
-    /** Blocks of [0, n) of at least `minGrain` items, claimed dynamically
-      * by whichever task is free; ends in a barrier. Loop k claims from
+    /** Blocks of [0, n) of at least 64 items, claimed dynamically by
+      * whichever task is free; ends in a barrier. Loop k claims from
       * cursor k mod 2 while task 0 zeroes the other one, which loop k - 1
       * used; the barriers around loop k keep the two apart.
       */
-    def forDynamic(n: Int, minGrain: Int = 64)(f: (Int, Int) => Unit): Unit = {
-      val grain = math.max(minGrain, n / (size * 16))
+    def forDynamic(n: Int)(f: (Int, Int) => Unit): Unit = {
+      val grain = math.max(64, n / (size * 16))
       val cursor = gang.cursors(loops & 1)
       if (index == 0) gang.cursors((loops + 1) & 1).set(0)
       loops += 1

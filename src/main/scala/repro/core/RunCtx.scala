@@ -88,11 +88,12 @@ final class RunCtx private (val id: String, val n: Int, finish: FinishOpt, fores
     sampled = s
   }
 
-  /** Resolve every vertex to its tree root: the final labeling. */
-  def resolveLabels(): Array[Int] = {
-    val out = new Array[Int](n)
-    resolveRange(out, 0, n)
-    out
+  /** The root of `v`'s tree, or -1 when its path ends at the sentinel. */
+  def root(v: Int): Int = {
+    var x = v
+    var px = parents.get(x)
+    while (px >= 0 && px != x) { x = px; px = parents.get(x) }
+    if (px < 0) -1 else x
   }
 
   /** Tree roots of vertices [lo, hi), written into `out`; a vertex whose
@@ -101,10 +102,8 @@ final class RunCtx private (val id: String, val n: Int, finish: FinishOpt, fores
   def resolveRange(out: Array[Int], lo: Int, hi: Int, sentinelRoot: Int = -1): Unit = {
     var i = lo
     while (i < hi) {
-      var v = i
-      var p = parents.get(v)
-      while (p >= 0 && p != v) { v = p; p = parents.get(v) }
-      out(i) = if (p < 0) sentinelRoot else v
+      val r = root(i)
+      out(i) = if (r < 0) sentinelRoot else r
       i += 1
     }
   }

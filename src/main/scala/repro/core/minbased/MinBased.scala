@@ -6,9 +6,9 @@ import repro.core.Options._
 import repro.core.uf.AtomicOps.writeMin
 import repro.graph.{Edge, HostGraph}
 
-/** The "other min-based" finish algorithms (Section 3.3.2):
-  * the Liu-Tarjan framework (16 rule combinations), Stergiou's two-array
-  * algorithm, Shiloach-Vishkin (Algorithm 15) and Label-Propagation.
+/** The "other min-based" finish algorithms (Section 3.3.2): the
+  * Liu-Tarjan framework (16 rule combinations) with Shiloach-Vishkin and
+  * Stergiou's algorithm as two of its instances, and Label-Propagation.
   *
   * All are round-synchronous: each is a task-side kernel of a gang run
   * ([[Par.gang]]), and one round is a few phases over the shared parents
@@ -25,23 +25,6 @@ import repro.graph.{Edge, HostGraph}
   * allocated with the context ([[RunCtx.create]]).
   */
 object MinBased {
-  private val RoundCap = 100000 // safety net against a non-converging rule
-
-  /** Task-side kernel of a finish over an edge store: one flat array of
-    * packed edges, split over its edges by [[Par.Task.forDynamic]] each
-    * phase, which Alter variants mutate (pass a copy). Runs to fixpoint
-    * and ends in a barrier; one instance serves one gang run.
-    */
-  trait EdgeKernel { def apply(t: Par.Task, store: Array[Long]): Unit }
-
-  /** The edge kernel of SV or a Liu-Tarjan variant (streaming batches). */
-  def edgeKernel(ctx: RunCtx, f: FinishOpt): EdgeKernel = f match {
-    case lt: LiuTarjanOpt => new LiuTarjan(ctx, lt)
-    case StergiouOpt => new Stergiou(ctx)
-    case ShiloachVishkinOpt => new ShiloachVishkin(ctx)
-    case other => throw new IllegalArgumentException(s"${other.name} has no edge kernel")
-  }
-
   /** The finish phase of a min-based option as a task-side step taking the
     * frequent label: install the -1 sentinel on the frequent component
     * (B.2.6), pack the edge store from the CSR (the u < v edges minus those
@@ -57,7 +40,7 @@ object MinBased {
           lp(t)
         }
       case _ =>
-        val kernel = edgeKernel(ctx, f)
+        val kernel = new LiuTarjan(ctx, f)
         val pack = new HostGraph.UpperPack(g)
         (t, frequentid) => {
           // the pack reads only `sampled`, so it may overlap the sentinel
@@ -75,62 +58,113 @@ object MinBased {
     while (v < hi) { if (s(v) == frequentid) ctx.parents.set(v, -1); v += 1 }
   }
 
-  /** `prev` := `parents` on this task's share of the vertices, then a barrier. */
-  private def snapshotPrev(t: Par.Task, ctx: RunCtx): Unit = {
-    val (lo, hi) = t.range(ctx.n)
-    var v = lo
-    while (v < hi) { ctx.prev(v) = ctx.parents.get(v); v += 1 }
-    t.sync()
-  }
-
   // =========================================================== Liu-Tarjan
-  /** One Liu-Tarjan variant. A round is a connect phase over the edges, a
-    * shortcut phase over the vertices (which also takes the RootUp
-    * snapshot of each vertex's final label) and, for Alter variants, an
-    * alter phase over the edges.
+  /** The edge kernel of SV, Stergiou or a Liu-Tarjan variant (Appendix
+    * D.4), over one flat array of packed edges split by
+    * [[Par.Task.forDynamic]] each phase, which Alter variants mutate (pass
+    * a copy). A round is a connect phase over the edges, a shortcut phase
+    * over the vertices (which also takes the `prev` snapshot of each
+    * vertex's final label) and, for Alter variants, an alter phase over
+    * the edges. Runs to fixpoint and ends in a barrier; one instance serves
+    * one gang run.
+    *
+    * SV (Algorithm 15) runs LT-PRF's rules: hook a root under the smaller
+    * parent, then shortcut fully. Stergiou's algorithm is LT-PUS whose
+    * connect reads its candidates from the previous round's labels in
+    * `prev` (the two-array instance, B.2.5).
     */
-  final class LiuTarjan(ctx: RunCtx, opt: LiuTarjanOpt) extends EdgeKernel {
-    private val progress = new Par.Progress
-    private val connectTag = opt.connect match {
-      case Connect => 0; case ParentConnect => 1; case ExtendedConnect => 2
+  final class LiuTarjan(ctx: RunCtx, f: FinishOpt) {
+    private val opt = f match {
+      case lt: LiuTarjanOpt => lt
+      case ShiloachVishkinOpt => LiuTarjanOpt(ParentConnect, rootUp = true, fullShortcut = true, alter = false)
+      case StergiouOpt => LiuTarjanOpt(ParentConnect, rootUp = false, fullShortcut = false, alter = false)
+      case other => throw new IllegalArgumentException(s"${other.name} has no edge kernel")
     }
+    private val progress = new Par.Progress
+    /** RootUp's root test: last round's labels. Null otherwise. */
+    private val roots = if (opt.rootUp) ctx.prev else null
+    private val connectTag = opt.connect match { case Connect => 0; case ParentConnect => 1; case ExtendedConnect => 2 }
 
     def apply(t: Par.Task, store: Array[Long]): Unit = {
-      if (opt.rootUp) snapshotPrev(t, ctx)
+      // the connect loop, chosen once, not per edge
+      val loop = if (opt.connect == ParentConnect && opt.rootUp && !opt.alter) 0 else if (f == StergiouOpt) 1 else 2
       val (vlo, vhi) = t.range(ctx.n)
+      if (ctx.prev != null) {
+        var v = vlo
+        while (v < vhi) { ctx.prev(v) = ctx.parents.get(v); v += 1 }
+        t.sync()
+      }
       var round = 0
       do {
         val r = round
-        t.forDynamic(store.length) { (lo, hi) => connect(store, lo, hi, r) }
-        shortcut(vlo, vhi, r)
+        // one block body per loop, so the JIT compiles each apart from the
+        // others' profiles (a shared body slowed Stergiou by 5-10%)
+        t.forDynamic(store.length)(loop match {
+          case 0 => (lo, hi) => if (hookRoots(store, lo, hi)) progress.mark(r)
+          case 1 => (lo, hi) => if (offerPrev(store, lo, hi)) progress.mark(r)
+          case _ => (lo, hi) => if (connectAny(store, lo, hi)) progress.mark(r)
+        })
+        if (shortcut(vlo, vhi)) progress.mark(r)
         t.sync()
-        if (opt.alter) t.forDynamic(store.length) { (lo, hi) => alter(store, lo, hi, r) }
+        if (opt.alter) t.forDynamic(store.length) { (lo, hi) => if (alter(store, lo, hi)) progress.mark(r) }
         round += 1
-        require(round < RoundCap, s"Liu-Tarjan ${opt.name} did not converge")
+        Par.requireConverging(round, f.name)
       } while (progress.changed(round - 1))
     }
 
-    private def connect(arr: Array[Long], lo: Int, hi: Int, r: Int): Unit = {
+    /** ParentConnect with RootUp (SV): hook the larger label, if it was a
+      * root last round, under the smaller. Spanning-forest mode hooks once
+      * at the root by CAS, so each tree merge records one forest edge; the
+      * forest runs (RootUp, no Alter) all take this loop.
+      */
+    private def hookRoots(arr: Array[Long], lo: Int, hi: Int): Boolean = {
       val p = ctx.parents
-      val prev = ctx.prev
-      val fo = ctx.forest
-      val rootUp = opt.rootUp
-      // eu/ev: the original graph edge being applied (forest recording)
-      @inline def upd(x: Int, cand: Int, eu: Int, ev: Int): Unit = {
-        if (x >= 0 && cand < x) {
-          if (fo != null) {
-            // hook-once at the root: one forest edge per tree merge
-            if (p.compareAndSet(x, x, cand)) {
-              fo.set(x, Edge.pack(eu, ev))
-              progress.mark(r)
-            }
-          } else if (rootUp) {
-            if (prev(x) == x && writeMin(p, x, cand)) progress.mark(r)
-          } else {
-            if (writeMin(p, x, cand)) progress.mark(r)
+      val roots = this.roots
+      val forest = ctx.forest
+      var ch = false
+      var j = lo
+      while (j < hi) {
+        val e = arr(j)
+        val lu = p.get(Edge.src(e)); val lv = p.get(Edge.dst(e))
+        if (lu != lv) {
+          val h = math.max(lu, lv); val l = math.min(lu, lv)
+          if (roots(h) == h) {
+            if (forest == null) { if (writeMin(p, h, l)) ch = true }
+            else if (p.compareAndSet(h, h, l)) { forest.set(h, e); ch = true }
           }
         }
+        j += 1
       }
+      ch
+    }
+
+    /** Stergiou: ParentConnect whose candidates are last round's labels. */
+    private def offerPrev(arr: Array[Long], lo: Int, hi: Int): Boolean = {
+      val p = ctx.parents
+      val prev = ctx.prev
+      var ch = false
+      var j = lo
+      while (j < hi) {
+        val e = arr(j)
+        val u = Edge.src(e); val v = Edge.dst(e)
+        val cu = prev(v); val cv = prev(u)
+        if (cu < u && writeMin(p, u, cu)) ch = true
+        if (cv < v && writeMin(p, v, cv)) ch = true
+        j += 1
+      }
+      ch
+    }
+
+    /** Any other rule, over a store Alter may have rewritten: deleted
+      * edges are -1, and an altered endpoint may be the -1 sentinel, which
+      * is then a candidate (smallest label) but never an update target.
+      */
+    private def connectAny(arr: Array[Long], lo: Int, hi: Int): Boolean = {
+      val p = ctx.parents
+      val roots = this.roots
+      def upd(x: Int, cand: Int): Boolean =
+        x >= 0 && cand < x && (roots == null || roots(x) == x) && writeMin(p, x, cand)
+      var ch = false
       var j = lo
       while (j < hi) {
         val e = arr(j)
@@ -138,51 +172,49 @@ object MinBased {
           val u = Edge.src(e); val v = Edge.dst(e)
           if (u < 0 && v < 0) { if (opt.alter) arr(j) = -1L }
           else {
-            // an altered endpoint may be the -1 sentinel: it is then a
-            // candidate (smallest label) but never an update target
-            // (upd guards x >= 0 / cand < x).
             val lu = if (u >= 0) p.get(u) else -1
             val lv = if (v >= 0) p.get(v) else -1
-            connectTag match {
+            val c = connectTag match {
               case 0 => // Connect: endpoints as candidates
-                if (rootUp) { upd(lu, v, u, v); upd(lv, u, u, v) }
-                else { upd(u, v, u, v); upd(v, u, u, v) }
+                if (roots != null) upd(lu, v) | upd(lv, u) else upd(u, v) | upd(v, u)
               case 1 => // ParentConnect: parents as candidates
-                if (rootUp) { upd(lu, lv, u, v); upd(lv, lu, u, v) }
-                else { upd(u, lv, u, v); upd(v, lu, u, v) }
-              case 2 => // ExtendedConnect: parents offered everywhere
-                upd(u, lv, u, v); upd(v, lu, u, v)
-                upd(lu, lv, u, v); upd(lv, lu, u, v)
+                if (roots != null) upd(lu, lv) | upd(lv, lu) else upd(u, lv) | upd(v, lu)
+              case _ => // ExtendedConnect: parents offered everywhere
+                upd(u, lv) | upd(v, lu) | upd(lu, lv) | upd(lv, lu)
             }
+            if (c) ch = true
           }
         }
         j += 1
       }
+      ch
     }
 
     /** Only this task writes its vertices' labels here, so each one's
-      * label is final for the round once its shortcut is done.
+      * label is final for the round once its shortcut is done: one step
+      * to the grandparent, or (full shortcut) straight to the root. Also
+      * takes the `prev` snapshot.
       */
-    private def shortcut(lo: Int, hi: Int, r: Int): Unit = {
+    private def shortcut(lo: Int, hi: Int): Boolean = {
       val p = ctx.parents
+      val prev = ctx.prev
+      val full = opt.fullShortcut
+      var ch = false
       var v = lo
       while (v < hi) {
-        var pv = p.get(v)
-        var go = true
-        while (go && pv >= 0 && pv != v) {
-          val gp = p.get(pv)
-          if (gp != pv) {
-            if (writeMin(p, v, gp)) progress.mark(r)
-            if (opt.fullShortcut) pv = p.get(v) else go = false
-          } else go = false
-        }
-        if (opt.rootUp) ctx.prev(v) = p.get(v)
+        val pv = p.get(v)
+        // roots and the sentinel's vertices keep their label
+        val l = if (pv < 0 || pv == v) pv else if (full) ctx.root(pv) else p.get(pv)
+        if (l != pv) { p.set(v, l); ch = true }
+        if (prev != null) prev(v) = l
         v += 1
       }
+      ch
     }
 
-    private def alter(arr: Array[Long], lo: Int, hi: Int, r: Int): Unit = {
+    private def alter(arr: Array[Long], lo: Int, hi: Int): Boolean = {
       val p = ctx.parents
+      var ch = false
       var j = lo
       while (j < hi) {
         val e = arr(j)
@@ -196,109 +228,12 @@ object MinBased {
             // a live edge whose endpoints moved can enable updates next
             // round (labels monotonically decrease, so this cannot loop
             // forever) — it counts as progress.
-            if (ne != e) { arr(j) = ne; progress.mark(r) }
+            if (ne != e) { arr(j) = ne; ch = true }
           }
         }
         j += 1
       }
-    }
-  }
-
-  // ============================================================= Stergiou
-  /** Stergiou et al.: ParentConnect reading the previous round's parents
-    * into the current array, plus a shortcut that also takes the next
-    * round's snapshot (B.2.5).
-    */
-  final class Stergiou(ctx: RunCtx) extends EdgeKernel {
-    private val progress = new Par.Progress
-
-    def apply(t: Par.Task, store: Array[Long]): Unit = {
-      val p = ctx.parents
-      val prev = ctx.prev
-      snapshotPrev(t, ctx)
-      val (vlo, vhi) = t.range(ctx.n)
-      var round = 0
-      do {
-        val r = round
-        t.forDynamic(store.length) { (lo, hi) =>
-          var j = lo
-          while (j < hi) {
-            val e = store(j)
-            val u = Edge.src(e); val v = Edge.dst(e)
-            val lu = prev(u); val lv = prev(v)
-            if (lv < u && writeMin(p, u, lv)) progress.mark(r)
-            if (lu < v && writeMin(p, v, lu)) progress.mark(r)
-            j += 1
-          }
-        }
-        var v = vlo
-        while (v < vhi) {
-          val pv = p.get(v)
-          if (pv >= 0 && pv != v) {
-            val gp = p.get(pv)
-            if (gp != pv && writeMin(p, v, gp)) progress.mark(r)
-          }
-          prev(v) = p.get(v)
-          v += 1
-        }
-        t.sync()
-        round += 1
-        require(round < RoundCap, "Stergiou did not converge")
-      } while (progress.changed(round - 1))
-    }
-  }
-
-  // ====================================================== Shiloach-Vishkin
-  /** Algorithm 15: per round, hook roots via the lowest incident label,
-    * then fully shortcut every vertex; prev tracks last round's labels.
-    */
-  final class ShiloachVishkin(ctx: RunCtx) extends EdgeKernel {
-    private val progress = new Par.Progress
-
-    def apply(t: Par.Task, store: Array[Long]): Unit = {
-      val p = ctx.parents
-      val prev = ctx.prev
-      val fo = ctx.forest
-      snapshotPrev(t, ctx)
-      val (vlo, vhi) = t.range(ctx.n)
-      var round = 0
-      do {
-        val r = round
-        t.forDynamic(store.length) { (lo, hi) =>
-          var j = lo
-          while (j < hi) {
-            val e = store(j)
-            val u = Edge.src(e); val v = Edge.dst(e)
-            val pu = p.get(u); val pv = p.get(v)
-            if (pu != pv) {
-              val l = math.min(pu, pv); val h = math.max(pu, pv)
-              if (h >= 0 && prev(h) == h) {
-                if (fo != null) {
-                  if (p.compareAndSet(h, h, l)) {
-                    fo.set(h, Edge.pack(u, v))
-                    progress.mark(r)
-                  }
-                } else if (writeMin(p, h, l)) progress.mark(r)
-              }
-            }
-            j += 1
-          }
-        }
-        // full shortcut + prev snapshot
-        var v = vlo
-        while (v < vhi) {
-          var x = v
-          var px = p.get(x)
-          while (px >= 0 && px != x) { x = px; px = p.get(x) }
-          val root = if (px < 0) px else x
-          p.set(v, root)
-          prev(v) = root
-          v += 1
-        }
-        t.sync()
-        round += 1
-        require(round < RoundCap, "Shiloach-Vishkin did not converge")
-      } while (progress.changed(round - 1))
+      ch
     }
   }
 
@@ -326,7 +261,7 @@ object MinBased {
 
     def endRound(): Boolean = {
       round += 1
-      require(round <= RoundCap, "Label-Propagation did not converge")
+      Par.requireConverging(round, LabelPropOpt.name)
       f.size > 0
     }
   }

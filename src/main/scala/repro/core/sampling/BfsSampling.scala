@@ -83,7 +83,7 @@ object BfsSampling {
 
     override def dense: Boolean = f.size > g.n / 20
 
-    override def denseRound(t: Par.Task): Unit = t.forDynamic(g.n, 256)(bottomUp)
+    override def denseRound(t: Par.Task): Unit = t.forDynamic(g.n)(bottomUp)
 
     /** Bottom-up over vertices [lo, hi): unvisited vertices probe for a
       * visited neighbour.

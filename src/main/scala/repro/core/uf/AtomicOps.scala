@@ -1,6 +1,6 @@
 package repro.core.uf
 
-import java.util.concurrent.atomic.AtomicIntegerArray
+import java.util.concurrent.atomic.{AtomicIntegerArray, AtomicLongArray}
 import repro.core.Options._
 import repro.core.RunCtx
 
@@ -15,6 +15,16 @@ object AtomicOps {
 
   /** writeMin (Appendix A): atomically lower the value at i to v. */
   def writeMin(a: AtomicIntegerArray, i: Int, v: Int): Boolean = {
+    var c = a.get(i)
+    while (v < c) {
+      if (a.compareAndSet(i, c, v)) return true
+      c = a.get(i)
+    }
+    false
+  }
+
+  /** writeMin on a `Long` slot. */
+  def writeMin(a: AtomicLongArray, i: Int, v: Long): Boolean = {
     var c = a.get(i)
     while (v < c) {
       if (a.compareAndSet(i, c, v)) return true

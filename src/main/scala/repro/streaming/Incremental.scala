@@ -29,15 +29,11 @@ final class Incremental(spark: SparkSession, n: Int, finish: FinishOpt) {
   private val ctx = RunCtx.create(n, finish)
 
   /** The root of `x`'s tree: the algorithm's own find for union-find,
-    * else a walk up the parents (min-based labels have no sentinel here).
+    * else the parent walk (min-based labels have no sentinel here).
     */
   private val root: Int => Int = finish match {
     case u: UnionFindOpt => UnionFind.find(ctx, u, _)
-    case _ => x0 => {
-      var x = x0; var p = ctx.parents.get(x)
-      while (p != x) { x = p; p = ctx.parents.get(x) }
-      x
-    }
+    case _ => ctx.root
   }
 
   /** Process one batch of packed INSERT(u,v) edges and ISCONNECTED(u,v)
@@ -70,7 +66,7 @@ final class Incremental(spark: SparkSession, n: Int, finish: FinishOpt) {
       case other =>
         // Type 2: the round-synchronous algorithm over the batch's edges
         // the kernel gets a copy: Alter variants rewrite their store
-        val kernel = MinBased.edgeKernel(ctx, other)
+        val kernel = new MinBased.LiuTarjan(ctx, other)
         val store = updates.clone()
         kernel(_, store)
     }
@@ -88,7 +84,7 @@ final class Incremental(spark: SparkSession, n: Int, finish: FinishOpt) {
   }
 
   /** Current connectivity labeling (resolved). */
-  def labels: Array[Int] = ctx.resolveLabels()
+  def labels: Array[Int] = Array.tabulate(n)(ctx.root)
 
   def isConnected(u: Int, v: Int): Boolean = root(u) == root(v)
 

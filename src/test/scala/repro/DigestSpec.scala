@@ -3,15 +3,18 @@ package repro
 import java.nio.ByteBuffer
 import java.security.MessageDigest
 import repro.bench.Tables
-import repro.core.{ConnectIt, RunCtx}
+import repro.core.{ConnectIt, Par, RunCtx}
 import repro.core.Options._
+import repro.graph.Reference
 
 /** Golden digests of outputs that no refactoring and no schedule may move:
   * the CSR of every test graph, the exact k-out and BFS sampling
   * statistics (coverage, inter-component fraction), Table 8's MapEdges /
   * GatherEdges sums and the UF-JTB priorities. They must come out the same
   * under local[1], local[2] and local[*]. LDD and AMSF outputs still depend
-  * on the schedule at P > 1 and are left out.
+  * on the schedule at P > 1 and are left out. SV spanning forests depend on
+  * it too, so their digests are checked only on a gang of one (local[1]);
+  * at P > 1 each forest is only checked to be valid.
   *
   * A failure names the key and prints the value computed, so a deliberate
   * change of output updates `golden` from the log.
@@ -65,6 +68,24 @@ class DigestSpec extends SparkSpec {
     "edgemaps/star-high" -> "998 249500",
     "edgemaps/path-desc" -> "598 1194",
     "edgemaps/large" -> "196568 1375900",
+    "forest/SV/No Sampling/path" -> "1107d3b1972365ef1bd84dca8e8baa5d",
+    "forest/SV/No Sampling/torus" -> "07dec721b98978ef1cc0d076eeab5383",
+    "forest/SV/No Sampling/rmat" -> "473208144d674eedf738ebaf12d0b5cb",
+    "forest/SV/No Sampling/star" -> "1baff0345332b9df9a0b5469b3a9977b",
+    "forest/SV/No Sampling/multi" -> "ce0436470fcd39dd86623d8612958dca",
+    "forest/SV/No Sampling/uniform" -> "7dc4151d8de17fa8b79ac1f662fbfb58",
+    "forest/SV/No Sampling/star-high" -> "da50ee439303775e10817ea6aaef4630",
+    "forest/SV/No Sampling/path-desc" -> "1107d3b1972365ef1bd84dca8e8baa5d",
+    "forest/SV/No Sampling/large" -> "52b5c3f81c1d99b29ea29c6346c97f91",
+    "forest/SV/k-out(kout-hybrid,k=2)/path" -> "48d2f66df926037118837aa8ad615bbd",
+    "forest/SV/k-out(kout-hybrid,k=2)/torus" -> "4935ab304cd33b6984b001c08190fa9f",
+    "forest/SV/k-out(kout-hybrid,k=2)/rmat" -> "d0dd90a3f85954030733d258608ad2c2",
+    "forest/SV/k-out(kout-hybrid,k=2)/star" -> "9865d6470a41043aeb0d61d62016f621",
+    "forest/SV/k-out(kout-hybrid,k=2)/multi" -> "23ab8c7b4759979c5eb50cfb229a91ba",
+    "forest/SV/k-out(kout-hybrid,k=2)/uniform" -> "caa4241eb530a41c9042029d7b7c61e3",
+    "forest/SV/k-out(kout-hybrid,k=2)/star-high" -> "da50ee439303775e10817ea6aaef4630",
+    "forest/SV/k-out(kout-hybrid,k=2)/path-desc" -> "48d2f66df926037118837aa8ad615bbd",
+    "forest/SV/k-out(kout-hybrid,k=2)/large" -> "f651ec3286f256224406e8fdd24dd23e",
     "prio/1000" -> "71ef57a2b5c126f15866150e6c05aa29",
   )
 
@@ -94,6 +115,16 @@ class DigestSpec extends SparkSpec {
     check(for ((name, g) <- graphs)
       yield s"edgemaps/$name" -> s"${Tables.mapEdges(spark, g)} ${Tables.gatherEdges(spark, g)}")
   }
+
+  for (s <- Seq(NoSampling, KOutSampling(2, KOutHybrid)))
+    test(s"SV spanning forest of every test graph under ${s.name} (digest on a gang of one)") {
+      val got = for ((name, g) <- graphs) yield {
+        val forest = ConnectIt.spanningForest(spark, g, s, ShiloachVishkinOpt).forest
+        assert(Reference.validSpanningForest(g, forest), s"invalid SV forest on $name")
+        s"forest/SV/${s.name}/$name" -> md5(forest.flatMap { case (u, v) => Array(u, v) })
+      }
+      if (Par.taskSlots(spark) == 1) check(got)
+    }
 
   test("UF-JTB priorities for n = 1000") {
     val ctx = RunCtx.create(1000, UnionFindOpt(UfJtb, FindAtomicSplit))

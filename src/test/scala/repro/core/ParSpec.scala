@@ -47,7 +47,7 @@ class ParSpec extends SparkSpec {
     Par.gang(spark, "dynamic") { t =>
       var loop = 0
       while (loop < 3) {
-        t.forDynamic(n, 7) { (lo, hi) =>
+        t.forDynamic(n) { (lo, hi) =>
           var v = lo
           while (v < hi) { hits.incrementAndGet(v); v += 1 }
         }
