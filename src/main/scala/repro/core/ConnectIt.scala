@@ -27,6 +27,10 @@ object ConnectIt {
       coverage: Double,
       /** Fraction of edges inter-component under the sampled labeling. */
       interCompFrac: Double,
+      /** Sum and maximum of the path lengths of the finish's unions, with
+        * `instrument` (Section 4.1.1's TPL and MPL). k-out sampling's links
+        * are not union-find unions and are not counted.
+        */
       totalPathLength: Long,
       maxPathLength: Int,
   )

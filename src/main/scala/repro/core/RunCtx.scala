@@ -131,8 +131,8 @@ object RunCtx {
   /** The shared state of a run on `n` vertices whose finish method is
     * `finish`, recording a spanning forest if `forest` and path lengths
     * if `instrument`. The defaults allocate no auxiliary array: the
-    * default finish is UF-Rem-CAS, the union-find that k-out sampling
-    * runs. A forest of `finish` must pass [[Options.requireForest]].
+    * default finish is UF-Rem-CAS, which needs none. A forest of
+    * `finish` must pass [[Options.requireForest]].
     */
   def create(n: Int, finish: FinishOpt = UnionFindOpt(UfRemCas), forest: Boolean = false,
              instrument: Boolean = false): RunCtx = {

@@ -77,15 +77,15 @@ class DigestSpec extends SparkSpec {
     "forest/SV/No Sampling/star-high" -> "da50ee439303775e10817ea6aaef4630",
     "forest/SV/No Sampling/path-desc" -> "1107d3b1972365ef1bd84dca8e8baa5d",
     "forest/SV/No Sampling/large" -> "52b5c3f81c1d99b29ea29c6346c97f91",
-    "forest/SV/k-out(kout-hybrid,k=2)/path" -> "48d2f66df926037118837aa8ad615bbd",
-    "forest/SV/k-out(kout-hybrid,k=2)/torus" -> "4935ab304cd33b6984b001c08190fa9f",
-    "forest/SV/k-out(kout-hybrid,k=2)/rmat" -> "d0dd90a3f85954030733d258608ad2c2",
-    "forest/SV/k-out(kout-hybrid,k=2)/star" -> "9865d6470a41043aeb0d61d62016f621",
-    "forest/SV/k-out(kout-hybrid,k=2)/multi" -> "23ab8c7b4759979c5eb50cfb229a91ba",
-    "forest/SV/k-out(kout-hybrid,k=2)/uniform" -> "caa4241eb530a41c9042029d7b7c61e3",
+    "forest/SV/k-out(kout-hybrid,k=2)/path" -> "2f8f25dd8de1ed276f7069e237c6d992",
+    "forest/SV/k-out(kout-hybrid,k=2)/torus" -> "7fcf58f0156e37f13b8f984ea906d9b4",
+    "forest/SV/k-out(kout-hybrid,k=2)/rmat" -> "904b4ba04c80596f8654bd1d59887a46",
+    "forest/SV/k-out(kout-hybrid,k=2)/star" -> "02fe72abc85ea2cf41338e6e44ff03d5",
+    "forest/SV/k-out(kout-hybrid,k=2)/multi" -> "23521cb040fc09f93e604e0c38393bec",
+    "forest/SV/k-out(kout-hybrid,k=2)/uniform" -> "a071447fc7b2e16d0865aeb664bd0d49",
     "forest/SV/k-out(kout-hybrid,k=2)/star-high" -> "da50ee439303775e10817ea6aaef4630",
-    "forest/SV/k-out(kout-hybrid,k=2)/path-desc" -> "48d2f66df926037118837aa8ad615bbd",
-    "forest/SV/k-out(kout-hybrid,k=2)/large" -> "f651ec3286f256224406e8fdd24dd23e",
+    "forest/SV/k-out(kout-hybrid,k=2)/path-desc" -> "2f8f25dd8de1ed276f7069e237c6d992",
+    "forest/SV/k-out(kout-hybrid,k=2)/large" -> "5209828255c0db0e843cbcae0253ffe4",
     "prio/1000" -> "71ef57a2b5c126f15866150e6c05aa29",
   )
 

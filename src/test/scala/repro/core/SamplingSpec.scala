@@ -41,6 +41,57 @@ class SamplingSpec extends SparkSpec {
     } finally ctx.unregister()
   }
 
+  /** The edges k-out sampling picks from `g`, derived here from the
+    * variants' definitions (Appendix C.3) and `GraphGen.mix`.
+    */
+  private def kOutPicks(g: HostGraph, s: KOutSampling): Iterator[(Int, Int)] =
+    for {
+      v <- Iterator.range(0, g.n)
+      off = g.offsets(v)
+      deg = g.degree(v) if deg > 0
+      j <- Iterator.range(0, s.k)
+      w <- (s.variant, j) match {
+        case (KOutAfforest, _) => if (j < deg) Some(g.targets(off + j)) else None
+        case (KOutHybrid, 0) => Some(g.targets(off)) // the CSR is sorted
+        case (KOutMaxDeg, 0) => Some((off until off + deg).map(g.targets).maxBy(g.degree))
+        case _ =>
+          Some(g.targets(off + ((GraphGen.mix(s.seed ^ GraphGen.mix(v.toLong * 131 + j)) >>> 1) % deg).toInt))
+      }
+    } yield (v, w)
+
+  // n >= 2^17: each of the 16 sub-rounds of a later link round gives every
+  // task blocks to claim. Both graphs leave isolated vertices and many
+  // components, so a wrong or missing link shows in the partition.
+  private def koutGraphs: Seq[(String, HostGraph)] = Seq(
+    "uniform-2^17" -> TestGraphs.get("uniform-2^17")(HostGraph.fromEdges(spark,
+      GraphGen.uniform(spark, 1 << 17, 1L << 17, seed = 5), nOverride = 1 << 17)),
+    "rmat-2^17" -> TestGraphs.get("rmat-2^17")(HostGraph.fromEdges(spark,
+      GraphGen.rmat(spark, 17, 4L << 17, seed = 9), nOverride = 1 << 17)))
+
+  for {
+    variant <- Seq(KOutAfforest, KOutPure, KOutHybrid, KOutMaxDeg)
+    k <- 1 to 3
+  } test(s"k-out(${variant.name}, k=$k) samples the components of its picks on large graphs") {
+    val s = KOutSampling(k, variant)
+    for ((gname, g) <- koutGraphs) {
+      val expected = Reference.cc(g.n, kOutPicks(g, s))
+      for (forestMode <- Seq(false, true)) {
+        val ctx = RunCtx.create(g.n, forest = forestMode)
+        try {
+          ConnectIt.sampleAndNormalize(spark, g, ctx, s)
+          assert(Reference.samePartition(ctx.sampled, expected), s"$gname (forest $forestMode): sampled partition")
+          if (forestMode) { // one recorded edge per hook, spanning the sampled trees
+            val edges = ctx.forestEdges
+            assert(edges.length == g.n - Reference.numComponents(expected), s"$gname: sampled forest size")
+            assert(Reference.samePartition(Reference.cc(g.n, edges.iterator), expected), s"$gname: sampled forest")
+          }
+        } finally ctx.unregister()
+      }
+      val forest = ConnectIt.spanningForest(spark, g, s, UnionFindOpt(UfRemCas)).forest
+      assert(Reference.validSpanningForest(g, forest), s"$gname: invalid spanning forest")
+    }
+  }
+
   test("k-out sampling on a connected torus leaves few inter-component edges") {
     val g = TestGraphs.torus(spark)
     val res = ConnectIt.connectivity(spark, g, KOutSampling(2, KOutHybrid),
