@@ -236,6 +236,9 @@ object ConnectIt {
     */
   private final class FrequentLabel(ctx: RunCtx) extends (Par.Task => Unit) {
     private val SampleSize = 65536
+    /** Slots of [[sampleCandidate]]'s table: twice the sample. */
+    private val TableBits = 17
+    private val TableSlots = 1 << TableBits
     @volatile var result: Int = -1
     private var cand = -1
     private val count = new java.util.concurrent.atomic.AtomicLong(0)
@@ -253,7 +256,7 @@ object ConnectIt {
         i += 1
       }
       t.sync()
-      t.single { cand = sampleCandidate(n) }
+      t.single { cand = sampleCandidate() }
       if (cand >= 0) {
         val (lo, hi) = t.range(n)
         var c = 0L
@@ -267,16 +270,23 @@ object ConnectIt {
 
     /** The most frequent label of the sample (seen at least twice), or
       * -1; the argmax is tracked as the counts grow, so of tied labels the
-      * first to reach the top count wins.
+      * first to reach the top count wins. The labels are counted in a
+      * table sized to the sample, not to n: open addressing over
+      * [[TableSlots]] slots, slot s holding a label + 1 (0: empty) at 2s
+      * and its count at 2s + 1.
       */
-    private def sampleCandidate(n: Int): Int = {
-      val counts = new Array[Int](n)
+    private def sampleCandidate(): Int = {
+      val table = new Array[Int](2 * TableSlots)
       var best = -1; var bestC = 1
       var i = 0
       while (i < SampleSize) {
         val l = sample(i)
-        counts(l) += 1
-        if (counts(l) > bestC) { best = l; bestC = counts(l) }
+        var s = (l * 0x9E3779B9) >>> (32 - TableBits)
+        while (table(2 * s) != 0 && table(2 * s) != l + 1) s = (s + 1) & (TableSlots - 1)
+        table(2 * s) = l + 1
+        val c = table(2 * s + 1) + 1
+        table(2 * s + 1) = c
+        if (c > bestC) { best = l; bestC = c }
         i += 1
       }
       best

@@ -238,17 +238,18 @@ object MinBased {
   }
 
   // ====================================================== Label-Propagation
-  /** Folklore frontier-based Label-Propagation (B.2.6): vertices whose
-    * label changed last round push their label to neighbours with a
-    * writeMin; terminates after <= diameter rounds. The rounds are
-    * [[Frontier]] rounds, starting from every vertex. Ends in a barrier.
+  /** Folklore frontier-based Label-Propagation (B.2.6) in [[Frontier]]
+    * rounds, starting from every vertex; terminates after <= diameter
+    * rounds. A sparse round pushes the labels that changed last round to
+    * the neighbours with a writeMin. A dense round pulls: every vertex
+    * takes the smallest label among itself and its neighbours with a
+    * plain store, as only its own task writes it; a vertex at the
+    * sentinel -1 skips its scan. Ends in a barrier.
     */
-  final class LabelProp(g: HostGraph, ctx: RunCtx) extends Frontier.Visit with Frontier.Kernel {
+  final class LabelProp(g: HostGraph, ctx: RunCtx) extends Frontier.Visit(sweeps = true) with Frontier.Kernel {
     private[core] val f = new Frontier(g, ctx.parents)
-    /** Round in which each vertex last joined the next frontier. */
+    /** Round in which each vertex last joined the next frontier by a push. */
     private val stamp = new AtomicIntegerArray(g.n)
-    /** The round being run (from 1); written by task 0 between barriers. */
-    private var round = 0
 
     // initial frontier: every vertex (sampled/frequent vertices push
     // their sentinel once and then never re-enter)
@@ -259,8 +260,19 @@ object MinBased {
     def visit(v: Int, l: Int, w: Int): Boolean =
       l < ctx.parents.get(w) && writeMin(ctx.parents, w, l) && stamp.get(w) != round && stamp.getAndSet(w, round) != round
 
+    def pull(g: HostGraph, v: Int): Boolean = {
+      val p = ctx.parents
+      val l = p.getPlain(v)
+      l >= 0 && {
+        var m = l
+        val end = g.offsets(v + 1)
+        var j = g.offsets(v)
+        while (j < end) { val x = p.getPlain(g.targets(j)); if (x < m) m = x; j += 1 }
+        m < l && { p.setPlain(v, m); true }
+      }
+    }
+
     def endRound(): Boolean = {
-      round += 1
       Par.requireConverging(round, LabelPropOpt.name)
       f.size > 0
     }

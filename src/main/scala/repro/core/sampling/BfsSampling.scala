@@ -1,11 +1,12 @@
 package repro.core.sampling
 
 import repro.core.{Frontier, Par, RunCtx}
-import repro.graph.{Edge, GraphGen, HostGraph}
+import repro.graph.{GraphGen, HostGraph}
 
 /** Breadth-first-search sampling (Algorithm 5) with the
-  * direction-optimization of Beamer et al. [11]: dense frontiers switch
-  * to a bottom-up round where unvisited vertices probe their neighbours.
+  * direction-optimization of Beamer et al. [11]: a level whose frontier
+  * holds more than m/20 of work is a dense [[Frontier]] round, in which
+  * each unvisited vertex probes its neighbours for one in the frontier.
   *
   * Each try labels the vertices reached from a random source with the
   * source id; a try is kept if it covers > 10% of the vertices,
@@ -39,18 +40,13 @@ object BfsSampling {
   }
 
   /** One full BFS per call, claiming vertices with [[Frontier.Claim]]
-    * (parents(v): v -> src); records forest tree edges if enabled.
-    *
-    * Top-down levels are [[Frontier]] rounds, so a level is split across
-    * the tasks only when its frontier's edges reach [[Frontier.SplitWork]].
-    * A level whose frontier holds more than n/20 vertices is a bottom-up
-    * step instead, split across the tasks.
+    * (parents(v): v -> src); records forest tree edges if enabled. Its
+    * levels are [[Frontier]] rounds: top-down (sparse) or, above m/20 of
+    * work, bottom-up (dense).
     */
   final class Bfs(g: HostGraph, ctx: RunCtx) extends Frontier.Kernel {
-    private val f = new Frontier(g, ctx.parents)
-    private val claim = new Frontier.Claim(ctx)
-    /** The source of the current BFS; written by task 0 between barriers. */
-    private var src = -1
+    private[core] val f = new Frontier(g, ctx.parents)
+    private val claim = new Frontier.Claim(ctx, flood = true)
     /** Vertices covered so far; written by task 0 between barriers. */
     private var covered = 0
 
@@ -59,7 +55,7 @@ object BfsSampling {
       * separated by a barrier.
       */
     def apply(t: Par.Task, src: Int): Int = {
-      f.rounds(t, claim, this) { this.src = src; covered = 0; claim.claimed.set(src, 1); f.add(src) }
+      f.rounds(t, claim, this) { covered = 0; claim.claimed.set(src, claim.round); f.add(src) }
       covered
     }
 
@@ -80,40 +76,5 @@ object BfsSampling {
     }
 
     def endRound(): Boolean = { covered += f.size; f.size > 0 }
-
-    override def dense: Boolean = f.size > g.n / 20
-
-    override def denseRound(t: Par.Task): Unit = t.forDynamic(g.n)(bottomUp)
-
-    /** Bottom-up over vertices [lo, hi): unvisited vertices probe for a
-      * visited neighbour.
-      */
-    private def bottomUp(lo: Int, hi: Int): Unit = {
-      val claimed = claim.claimed
-      val buf = new Array[Int](hi - lo)
-      var len = 0
-      var v = lo
-      while (v < hi) {
-        if (claimed.get(v) == 0) {
-          val off = g.offsets(v); val end = g.offsets(v + 1)
-          var j = off
-          var done = false
-          while (j < end && !done) {
-            val w = g.targets(j)
-            if (claimed.get(w) == 1) {
-              ctx.parents.set(v, src)
-              claimed.set(v, 1)
-              val fo = ctx.forest
-              if (fo != null) fo.set(v, Edge.pack(w, v))
-              buf(len) = v; len += 1
-              done = true
-            }
-            j += 1
-          }
-        }
-        v += 1
-      }
-      f.publish(buf, len)
-    }
   }
 }

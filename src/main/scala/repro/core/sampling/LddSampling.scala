@@ -38,7 +38,8 @@ object LddSampling {
   private[core] def startRound(s: Double, dmax: Double): Int = (dmax - s).toInt
 
   /** Task-side kernel: [[Frontier]] rounds, each a one-hop expansion of
-    * every cluster frontier; between rounds task 0 wakes the next round's
+    * every cluster frontier (pushed, or pulled by the unclaimed vertices
+    * in a dense round); between rounds task 0 wakes the next round's
     * centers.
     */
   final class Kernel(g: HostGraph, ctx: RunCtx, beta: Double, permute: Boolean,
@@ -53,8 +54,8 @@ object LddSampling {
       */
     private val order = new Array[Int](n)
     private var bucketStart: Array[Int] = _
-    private val claim = new Frontier.Claim(ctx)
-    private val f = new Frontier(g, ctx.parents)
+    private val claim = new Frontier.Claim(ctx, flood = false)
+    private[core] val f = new Frontier(g, ctx.parents)
     /** Task 0's round state: the next round to wake, and the vertices claimed so far. */
     private var round = 0
     private var claimedCount = 0
@@ -102,7 +103,7 @@ object LddSampling {
         while (i < bucketStart(round + 1)) {
           val c = order(i)
           // most members of the late, large buckets are claimed already
-          if (claim.claimed.get(c) == 0 && claim.claimed.compareAndSet(c, 0, 1)) f.add(c)
+          if (claim.claimed.get(c) == 0 && claim.claimed.compareAndSet(c, 0, claim.round)) f.add(c)
           i += 1
         }
       }

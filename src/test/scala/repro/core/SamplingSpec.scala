@@ -109,14 +109,22 @@ class SamplingSpec extends SparkSpec {
   }
 
   test("BFS splits a wide top-down level across tasks and claims each vertex once") {
-    // center 0 -> 40 hubs -> the same 2048 leaves: the hubs' level has
-    // more frontier edges than Frontier.SplitWork, so the tasks claim the
-    // leaves concurrently; the leaves' level is bottom-up
-    val hubs = 40
-    val leaves = 2048
-    val n = 1 + hubs + leaves
+    // center 0 -> 8 hubs -> the same 512 leaves, each leaf also joined to
+    // the 100 leaves on either side of it in a ring -> one pendant per
+    // leaf. The ring's edges raise m/20 above the hubs' level, which has
+    // more frontier edges than Frontier.SplitWork: it is a sparse round
+    // split across the tasks, which claim the leaves concurrently. The
+    // leaves' level holds more than m/20 and is dense: each pendant pulls
+    // from its leaf. A leaf's neighbours are listed by id, the hubs first,
+    // so no leaf is claimed from another leaf.
+    val (hubs, leaves, ring) = (8, 512, 100)
+    val n = 1 + hubs + 2 * leaves
+    def leaf(l: Int): Int = 1 + hubs + l
+    def pendant(l: Int): Int = 1 + hubs + leaves + l
     val edges = (1 to hubs).map(h => (0, h)) ++
-      (for (h <- 1 to hubs; l <- 0 until leaves) yield (h, 1 + hubs + l))
+      (for (h <- 1 to hubs; l <- 0 until leaves) yield (h, leaf(l))) ++
+      (for (l <- 0 until leaves; d <- 1 to ring) yield (leaf(l), leaf((l + d) % leaves))) ++
+      (0 until leaves).map(l => (leaf(l), pendant(l)))
     val g = repro.graph.HostGraph.fromArray(spark, n, edges.toArray)
     try {
       for (_ <- 0 until 5) {
@@ -130,11 +138,18 @@ class SamplingSpec extends SparkSpec {
           }
           assert(covered.get(0) == n)
           assert((0 until n).forall(ctx.parents.get(_) == 0))
+          // the source's and the pendants' levels on task 0, the hubs'
+          // split, the leaves' dense
+          assert((bfs.f.serialRounds, bfs.f.splitRounds, bfs.f.denseRounds) == (2, 1, 1))
           // each vertex but the source holds one tree edge from the level above
           for (w <- 1 until n) {
             val e = ctx.forest.get(w)
             val (u, x) = (Edge.src(e), Edge.dst(e))
-            assert(x == w && (if (w <= hubs) u == 0 else u >= 1 && u <= hubs), s"vertex $w: edge ($u, $x)")
+            val above =
+              if (w <= hubs) u == 0
+              else if (w < leaf(leaves)) u >= 1 && u <= hubs
+              else u == w - leaves
+            assert(x == w && above, s"vertex $w: edge ($u, $x)")
           }
         } finally ctx.unregister()
       }
@@ -149,60 +164,80 @@ class SamplingSpec extends SparkSpec {
     assert(ic(0.05) <= ic(0.8) + 0.05)
   }
 
+  /** Runs LDD sampling `reps` times on `g` and checks that every vertex
+    * lands in a cluster whose center reaches it first (MPX). A claim race
+    * picks among clusters that arrive in the same round, so the property
+    * is exact at any number of tasks. Returns the work of each round's
+    * frontier (the vertices that arrive in it), computed serially, and
+    * the fewest dense rounds of a run.
+    */
+  private def checkMpx(g: HostGraph, beta: Double, seed: Long, reps: Int): (Seq[Long], Int) = {
+    val n = g.n
+    val shifts = Array.tabulate(n)(v => sampling.LddSampling.shift(v, beta, permute = false, seed))
+    val dmax = shifts.max
+    val start = shifts.map(sampling.LddSampling.startRound(_, dmax))
+    // serial multi-source BFS: arrival(w) = min over v of start(v) + dist(v, w)
+    val arrival = start.clone()
+    val buckets = ArrayBuffer.empty[ArrayBuffer[Int]]
+    def enqueue(v: Int, t: Int): Unit = {
+      while (buckets.size <= t) buckets += ArrayBuffer.empty[Int]
+      buckets(t) += v
+    }
+    (0 until n).foreach(v => enqueue(v, start(v)))
+    for (t <- buckets.indices; v <- buckets(t) if arrival(v) == t; j <- g.offsets(v) until g.offsets(v + 1)) {
+      val w = g.targets(j)
+      if (arrival(w) > t + 1) { arrival(w) = t + 1; enqueue(w, t + 1) }
+    }
+    // round r's frontier is the vertices that arrive in round r
+    val work = (0 to arrival.max).map { r =>
+      val f = new Frontier(g, new java.util.concurrent.atomic.AtomicIntegerArray(n))
+      (0 until n).filter(arrival(_) == r).foreach(f.add)
+      f.work
+    }
+    val before = SharedState.size
+    val dense = for (rep <- 1 to reps) yield {
+      val ctx = RunCtx.create(n)
+      try {
+        val k = new sampling.LddSampling.Kernel(g, ctx, beta, permute = false, seed)
+        Par.gang(spark, ctx.id)(k)
+        val center = Array.tabulate(n)(ctx.parents.get)
+        // a center starts in its start round; any other vertex has a
+        // neighbour in its cluster that arrived one round earlier, so by
+        // induction start(c) + dist(c, w) <= arrival(w), and >= holds
+        // by the definition of arrival
+        for (w <- 0 until n) {
+          val c = center(w)
+          if (c == w) assert(arrival(w) == start(w), s"rep $rep: center $w")
+          else assert(center(c) == c && (g.offsets(w) until g.offsets(w + 1)).exists { j =>
+            val u = g.targets(j)
+            center(u) == c && arrival(u) == arrival(w) - 1
+          }, s"rep $rep: vertex $w in the cluster of $c arrived at ${arrival(w)}")
+        }
+        k.f.denseRounds
+      } finally ctx.unregister()
+    }
+    assert(SharedState.size == before)
+    (work, dense.min)
+  }
+
   test("LDD puts every vertex in a cluster whose center reaches it first (MPX), 20 repetitions") {
     // The 512x512 torus has LDD rounds on both sides of
     // Frontier.SplitWork, so both the split rounds and the task-0 rounds
-    // run. A claim race picks among clusters that arrive in the same
-    // round, so the property is exact at any number of tasks.
-    val (beta, seed) = (0.2, 41L)
+    // run, and its largest rounds are dense.
     val g = HostGraph.fromEdges(spark, GraphGen.torus2d(spark, 512, 512))
     try {
-      val n = g.n
-      val shifts = Array.tabulate(n)(v => sampling.LddSampling.shift(v, beta, permute = false, seed))
-      val dmax = shifts.max
-      val start = shifts.map(sampling.LddSampling.startRound(_, dmax))
-      // serial multi-source BFS: arrival(w) = min over v of start(v) + dist(v, w)
-      val arrival = start.clone()
-      val buckets = ArrayBuffer.empty[ArrayBuffer[Int]]
-      def enqueue(v: Int, t: Int): Unit = {
-        while (buckets.size <= t) buckets += ArrayBuffer.empty[Int]
-        buckets(t) += v
-      }
-      (0 until n).foreach(v => enqueue(v, start(v)))
-      for (t <- buckets.indices; v <- buckets(t) if arrival(v) == t; j <- g.offsets(v) until g.offsets(v + 1)) {
-        val w = g.targets(j)
-        if (arrival(w) > t + 1) { arrival(w) = t + 1; enqueue(w, t + 1) }
-      }
-      // round r's frontier is the vertices that arrive in round r
-      val work = (0 to arrival.max).map { r =>
-        val f = new Frontier(g, new java.util.concurrent.atomic.AtomicIntegerArray(n))
-        (0 until n).filter(arrival(_) == r).foreach(f.add)
-        f.work
-      }
+      val (work, dense) = checkMpx(g, 0.2, 41L, 20)
       assert(work.count(_ >= Frontier.SplitWork) > 0 && work.count(w => w > 0 && w < Frontier.SplitWork) > 0,
         s"rounds' work: ${work.mkString(",")}")
-      val before = SharedState.size
-      for (rep <- 1 to 20) {
-        val ctx = RunCtx.create(n)
-        try {
-          sampling.LddSampling.sample(spark, g, ctx, beta, permute = false, seed)
-          val center = Array.tabulate(n)(ctx.parents.get)
-          // a center starts in its start round; any other vertex has a
-          // neighbour in its cluster that arrived one round earlier, so by
-          // induction start(c) + dist(c, w) <= arrival(w), and >= holds
-          // by the definition of arrival
-          for (w <- 0 until n) {
-            val c = center(w)
-            if (c == w) assert(arrival(w) == start(w), s"rep $rep: center $w")
-            else assert(center(c) == c && (g.offsets(w) until g.offsets(w + 1)).exists { j =>
-              val u = g.targets(j)
-              center(u) == c && arrival(u) == arrival(w) - 1
-            }, s"rep $rep: vertex $w in the cluster of $c arrived at ${arrival(w)}")
-          }
-        } finally ctx.unregister()
-        assert(SharedState.size == before, s"rep $rep")
-      }
+      assert(dense > 0, s"rounds' work: ${work.mkString(",")}")
     } finally g.unregister()
+  }
+
+  test("LDD puts every vertex in a cluster whose center reaches it first (MPX) on a uniform graph with dense rounds") {
+    // a low-diameter graph: a few rounds hold most of the vertices
+    val g = TestGraphs.large(spark)
+    val (work, dense) = checkMpx(g, 0.2, 41L, 20)
+    assert(dense > 0, s"rounds' work: ${work.mkString(",")}")
   }
 
   test("identifyFrequent finds the majority label") {
