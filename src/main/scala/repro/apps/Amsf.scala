@@ -2,7 +2,7 @@ package repro.apps
 
 import java.util.concurrent.atomic.AtomicLongArray
 import org.apache.spark.sql.SparkSession
-import repro.core.{Par, RunCtx}
+import repro.core.{ConnectIt, Par, RunCtx}
 import repro.core.Options._
 import repro.core.uf.AtomicOps.writeMin
 import repro.core.uf.UnionFind
@@ -98,7 +98,7 @@ object Amsf {
           val store = if (filt) edges.clone() else edges
           val wstore = if (filt) w.clone() else w
           val labels = if (variant == NFS) new Array[Int](g.n) else null
-          var freq = -1 // NF-S: the bucket's largest component, from task 0
+          val frequent = if (variant == NFS) new ConnectIt.FrequentLabel(g.n) else null
           Par.gang(spark, ctx.id) { t =>
             // this task's static share of the store; its alive edges are
             // store(elo until alive)
@@ -108,13 +108,13 @@ object Amsf {
             while (b < nBuckets) {
               val loW = wmin * math.pow(1 + eps, b) - (if (b == 0) 1e-12 else 0)
               val hiW = upper(b)
-              if (variant == NFS) {
+              // NF-S: the bucket's largest component
+              val fr = if (variant != NFS) -1 else {
                 val (lo, hi) = t.range(g.n)
                 ctx.resolveRange(labels, lo, hi)
                 t.sync()
-                t.single { freq = repro.core.ConnectIt.identifyFrequent(labels) }
+                frequent(t, labels)
               }
-              val fr = freq
               var j = elo
               var keep = elo
               while (j < alive) {
@@ -142,16 +142,12 @@ object Amsf {
 
   /** Sum weights of the recorded forest edges: each packed forest slot
     * is an edge of the sorted `edges` (`w` parallel to it) or empty (-1).
+    * The weights are summed in edge order, so the sum does not depend on
+    * which slot the schedule put each edge in.
     */
   private def forestWeight(edges: Array[Long], w: Array[Double], ctx: RunCtx): (Double, Int) = {
-    var sum = 0.0; var cnt = 0
-    var v = 0
-    while (v < ctx.n) {
-      val i = java.util.Arrays.binarySearch(edges, ctx.forest.get(v))
-      if (i >= 0) { sum += w(i); cnt += 1 }
-      v += 1
-    }
-    (sum, cnt)
+    val chosen = (0 until ctx.n).map(v => java.util.Arrays.binarySearch(edges, ctx.forest.get(v))).filter(_ >= 0)
+    (chosen.sorted.map(w).sum, chosen.length)
   }
 
   /** Exact MSF via parallel Borůvka (the GBBS-MSF stand-in), one gang

@@ -60,10 +60,13 @@ object Tables {
     "LDD Sampling" -> LddSampling(0.2),
   )
 
-  /** One timed connectivity run; asserts correctness against reference. */
+  /** One timed connectivity run's `totalSec`; asserts that its labels
+    * partition the graph as `ref`, its [[Reference.cc]], does.
+    */
   def timedCC(spark: SparkSession, g: HostGraph, s: SamplingOpt,
-              f: FinishOpt): Double = {
-    val (res, _) = time(ConnectIt.connectivity(spark, g, s, f))
+              f: FinishOpt, ref: Array[Int]): Double = {
+    val res = ConnectIt.connectivity(spark, g, s, f)
+    assert(Reference.samePartition(res.labels, ref), s"${s.name} + ${f.name}: wrong labels")
     res.totalSec
   }
 
@@ -78,9 +81,10 @@ object Tables {
   def table1(spark: SparkSession): Seq[String] = {
     val rows = Seq("CW", "TW", "FR").map { name =>
       val g = GraphSuite.graph(spark, name)
+      val ref = Reference.cc(g)
       val (s, f) = fastest
-      timedCC(spark, g, s, f) // warm
-      val t = timedCC(spark, g, s, f)
+      timedCC(spark, g, s, f, ref) // warm
+      val t = timedCC(spark, g, s, f, ref)
       f"$name%-4s n=${g.n}%-9d m=${g.m}%-9d fastest-ConnectIt(k-out+UF-Rem-CAS)=${fmt(t)}s"
     }
     emit(rows)
@@ -142,11 +146,12 @@ object Tables {
     */
   def table3(spark: SparkSession): Seq[String] = {
     val graphs = GraphSuite.all(spark)
+    val refs = graphs.map { case (_, g) => Reference.cc(g) }
     System.gc() // quiet heap before timing
     val out = scala.collection.mutable.ArrayBuffer.empty[String]
     for ((sname, s) <- t3Samplings; (fname, opts) <- t3Families) {
-      val cells = graphs.map { case (_, g) =>
-        fmt(opts.map(o => best(timedCC(spark, g, s, o))).min)
+      val cells = graphs.zip(refs).map { case ((_, g), ref) =>
+        fmt(opts.map(o => best(timedCC(spark, g, s, o, ref))).min)
       }
       out += f"$sname%-16s $fname%-12s ${cells.map(c => f"$c%-10s").mkString}"
     }
@@ -174,7 +179,7 @@ object Tables {
   def table3b(spark: SparkSession): Seq[String] = {
     val g = GraphSuite.dense(spark)
     val f = fastest._2
-    timedCC(spark, g, NoSampling, f) // warm
+    timedCC(spark, g, NoSampling, f, Reference.cc(g)) // warm
     val rows = t3Samplings.map { case (sname, s) =>
       val res = (1 to 3).map(_ =>
         ConnectIt.connectivity(spark, g, s, f)).minBy(_.totalSec)
@@ -326,22 +331,24 @@ object Tables {
     val ctx = RunCtx.create(g.n)
     try {
       val t = math.min(tWarm, sampled(ctx))
-      val freq = ConnectIt.identifyFrequent(ctx.sampled)
+      val freq = ConnectIt.identifyFrequentPar(spark, ctx)
       val (cov, ic) = ConnectIt.samplingQuality(spark, g, ctx, freq)
       f"$name%-4s ${s.name}%-26s time=${fmt(t)}s cov=${cov * 100}%.1f%% ic=${ic * 100}%.4f%%"
     } finally ctx.unregister()
   }
 
-  def table6(spark: SparkSession): Seq[String] =
-    emit(GraphSuite.all(spark).flatMap { case (name, g) =>
-      Seq(samplingQualityRow(spark, name, g, BfsSampling()),
-          samplingQualityRow(spark, name, g, LddSampling(0.2)))
-    })
+  /** A [[samplingQualityRow]] per graph and scheme, after an untimed pass
+    * over them all, so the first graphs' cells carry no JIT warm-up.
+    */
+  private def samplingTable(spark: SparkSession, schemes: SamplingOpt*): Seq[String] = {
+    def pass() = for ((name, g) <- GraphSuite.all(spark); s <- schemes) yield samplingQualityRow(spark, name, g, s)
+    pass()
+    emit(pass())
+  }
 
-  def table7(spark: SparkSession): Seq[String] =
-    emit(GraphSuite.all(spark).map { case (name, g) =>
-      samplingQualityRow(spark, name, g, KOutSampling(2, KOutHybrid))
-    })
+  def table6(spark: SparkSession): Seq[String] = samplingTable(spark, BfsSampling(), LddSampling(0.2))
+
+  def table7(spark: SparkSession): Seq[String] = samplingTable(spark, KOutSampling(2, KOutHybrid))
 
   // ============================================================= Table 8
   /** MapEdges / GatherEdges primitives vs the fastest ConnectIt times

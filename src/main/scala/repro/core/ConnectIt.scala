@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.concurrent.atomic.{AtomicIntegerArray, AtomicLong}
+import java.util.concurrent.atomic.{AtomicInteger, AtomicIntegerArray, AtomicLong}
 import org.apache.spark.sql.SparkSession
 import repro.core.Options._
 import repro.core.minbased.MinBased
@@ -59,30 +59,29 @@ object ConnectIt {
         case other => MinBased.finish(g, ctx, other)
       }
       val clock = new Array[Long](3) // start, end of sampling, end of finish
+      var frequentid = -1 // task 0's copy, read after the run
       val labels = new Array[Int](g.n)
-      val roots = new java.util.concurrent.atomic.AtomicInteger(0)
+      val roots = new AtomicInteger(0)
       Par.gang(spark, ctx.id) { t =>
         // stamped once every task has reached the first barrier, so the
         // crew's wake-up is not timed, and before the second, so no task
         // has claimed work yet
         t.sync()
         t.single { clock(0) = System.nanoTime() }
-        phase1.foreach(_(t))
-        if (t.index == 0) clock(1) = System.nanoTime()
-        val frequentid = phase1.fold(-1)(_.frequent.result)
-        finishStep(t, frequentid)
+        val frequent = phase1.fold(-1)(_(t))
+        if (t.index == 0) { clock(1) = System.nanoTime(); frequentid = frequent }
+        finishStep(t, frequent)
         if (t.index == 0) clock(2) = System.nanoTime()
         // a vertex is its own label iff it is a root (the frequent
         // component's sentinel resolves to frequentid, one of its
         // members), so the roots count the components
         val (lo, hi) = t.range(g.n)
-        ctx.resolveRange(labels, lo, hi, sentinelRoot = frequentid)
+        ctx.resolveRange(labels, lo, hi, sentinelRoot = frequent)
         var r = 0
         var v = lo
         while (v < hi) { if (labels(v) == v) r += 1; v += 1 }
         roots.addAndGet(r)
       }
-      val frequentid = phase1.fold(-1)(_.frequent.result)
       val (cov, ic) =
         if (sampleStats && sampling != NoSampling) samplingQuality(spark, g, ctx, frequentid)
         else (0.0, 0.0)
@@ -116,14 +115,14 @@ object ConnectIt {
   }
 
   /** Phase 1 of Algorithm 1 as gang rounds: sampling, normalization
-    * (which writes `ctx.sampled`) and the frequent label.
+    * (which writes `ctx.sampled`) and the frequent label, which it returns.
     */
-  private final class SamplePhase(g: HostGraph, ctx: RunCtx, s: SamplingOpt) extends (Par.Task => Unit) {
+  private final class SamplePhase(g: HostGraph, ctx: RunCtx, s: SamplingOpt) extends (Par.Task => Int) {
     private val sample = samplingKernel(s, g, ctx)
     private val normalize = new Normalize(ctx)
-    val frequent = new FrequentLabel(ctx)
+    private val frequent = new FrequentLabel(ctx.n)
 
-    def apply(t: Par.Task): Unit = { sample(t); normalize(t); frequent(t) }
+    def apply(t: Par.Task): Int = { sample(t); normalize(t); frequent(t, ctx.sampled) }
   }
 
   /** Sampling and normalization alone, in one gang run: the sampling
@@ -200,63 +199,53 @@ object ConnectIt {
   }
 
   // ------------------------------------------------------ frequent label
-  /** Most frequent label (Algorithm 1 line 6). Returns -1 when sampling
-    * produced only singletons (no skip benefit).
-    */
-  def identifyFrequent(labels: Array[Int]): Int = {
-    val n = labels.length
-    val counts = new Array[Int](n)
-    var i = 0
-    while (i < n) { counts(labels(i)) += 1; i += 1 }
-    var best = -1; var bestC = 1
-    i = 0
-    while (i < n) {
-      if (counts(i) > bestC) { best = i; bestC = counts(i) }
-      i += 1
-    }
-    best
-  }
-
-  /** Frequent label of `ctx.sampled` in its own gang run: a benchmark
-    * hook, as [[connectivity]] runs [[FrequentLabel]] inside its own gang.
+  /** Frequent label of `ctx.sampled` ([[FrequentLabel]]) in its own gang
+    * run, for a sampled labeling made outside [[connectivity]]: Tables 6
+    * and 7 and the benchmark's frequent-label layer.
     */
   def identifyFrequentPar(spark: SparkSession, ctx: RunCtx): Int = {
-    val k = new FrequentLabel(ctx)
-    Par.gang(spark, ctx.id)(k)
-    k.result
+    val step = new FrequentLabel(ctx.n)
+    val found = new AtomicInteger(-1)
+    Par.gang(spark, ctx.id)(t => found.set(step(t, ctx.sampled)))
+    found.get
   }
 
-  /** Task-side frequent-label identification for large n: argmax over a
-    * fixed-size vertex sample (the frequent component the two-phase
-    * optimization targets holds >10% of vertices, so a 64k sample finds
-    * its label with overwhelming probability), then an exact parallel
-    * count of that single candidate. Each task gathers the labels of its
-    * share of the sample; task 0 counts them. Small n is counted exactly
-    * on task 0. `result` is set on every task when it returns.
+  /** The most frequent label of an n-vertex labeling (Algorithm 1 line 6)
+    * as gang rounds, or -1 when the sample finds no label carried by two
+    * vertices (no skip benefit). It counts the labels of a sample of at
+    * most 65536 vertices, then counts the sample's most frequent label
+    * exactly, in parallel. The sample is every vertex in id order when n
+    * fits it; otherwise it is 65536 hashed positions (the frequent
+    * component the two-phase optimization targets holds >10% of vertices,
+    * so the sample finds its label with overwhelming probability). Each
+    * task gathers the labels of its share of the sample; task 0 counts
+    * them. Of tied labels, the first to reach the top count in sample
+    * order wins.
+    *
+    * A call ends in a barrier and returns the label on every task. One
+    * instance may be called again in the same gang run: each call resets
+    * its state in its task-0 step.
     */
-  private final class FrequentLabel(ctx: RunCtx) extends (Par.Task => Unit) {
+  final class FrequentLabel(n: Int) {
     private val SampleSize = 65536
-    /** Slots of [[sampleCandidate]]'s table: twice the sample. */
-    private val TableBits = 17
-    private val TableSlots = 1 << TableBits
-    @volatile var result: Int = -1
-    private var cand = -1
-    private val count = new java.util.concurrent.atomic.AtomicLong(0)
     /** The sampled vertices' labels, in sample order. */
-    private val sample = if (ctx.n > SampleSize) new Array[Int](SampleSize) else null
+    private val sample = new Array[Int](math.min(n, SampleSize))
+    /** log2 of [[sampleCandidate]]'s table slots: twice the sample. */
+    private val tableBits = 32 - Integer.numberOfLeadingZeros(math.max(1, 2 * sample.length - 1))
+    private var cand = -1
+    private var result = -1
+    private val count = new AtomicLong(0)
 
-    def apply(t: Par.Task): Unit = {
-      val labels = ctx.sampled
-      val n = labels.length
-      if (n <= SampleSize) { t.single { result = identifyFrequent(labels) }; return }
-      val (lo, hi) = t.range(SampleSize)
+    def apply(t: Par.Task, labels: Array[Int]): Int = {
+      val whole = sample.length == n
+      val (lo, hi) = t.range(sample.length)
       var i = lo
       while (i < hi) {
-        sample(i) = labels(((repro.graph.GraphGen.mix(0x5eed + i) >>> 1) % n).toInt)
+        sample(i) = labels(if (whole) i else ((repro.graph.GraphGen.mix(0x5eed + i) >>> 1) % n).toInt)
         i += 1
       }
       t.sync()
-      t.single { cand = sampleCandidate() }
+      t.single { cand = sampleCandidate(); count.set(0); result = -1 }
       if (cand >= 0) {
         val (lo, hi) = t.range(n)
         var c = 0L
@@ -264,25 +253,27 @@ object ConnectIt {
         while (v < hi) { if (labels(v) == cand) c += 1; v += 1 }
         count.addAndGet(c)
         t.sync() // every share is in before task 0 reads the total
-        t.single { result = if (count.get() >= 2L) cand else -1 }
+        t.single { if (count.get() >= 2L) result = cand }
       }
+      result
     }
 
     /** The most frequent label of the sample (seen at least twice), or
       * -1; the argmax is tracked as the counts grow, so of tied labels the
       * first to reach the top count wins. The labels are counted in a
       * table sized to the sample, not to n: open addressing over
-      * [[TableSlots]] slots, slot s holding a label + 1 (0: empty) at 2s
+      * 2^[[tableBits]] slots, slot s holding a label + 1 (0: empty) at 2s
       * and its count at 2s + 1.
       */
     private def sampleCandidate(): Int = {
-      val table = new Array[Int](2 * TableSlots)
+      val slots = 1 << tableBits
+      val table = new Array[Int](2 * slots)
       var best = -1; var bestC = 1
       var i = 0
-      while (i < SampleSize) {
+      while (i < sample.length) {
         val l = sample(i)
-        var s = (l * 0x9E3779B9) >>> (32 - TableBits)
-        while (table(2 * s) != 0 && table(2 * s) != l + 1) s = (s + 1) & (TableSlots - 1)
+        var s = (l * 0x9E3779B9) >>> (32 - tableBits)
+        while (table(2 * s) != 0 && table(2 * s) != l + 1) s = (s + 1) & (slots - 1)
         table(2 * s) = l + 1
         val c = table(2 * s + 1) + 1
         table(2 * s + 1) = c

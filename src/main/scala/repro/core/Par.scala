@@ -99,7 +99,7 @@ object Par {
   /** Task slots of a Spark master that runs tasks inside this JVM:
     * `local` is 1, `local[N]` / `local[N,F]` is N, `local[*]` is `cores`;
     * each task takes `taskCpus` of them. Any other master is rejected:
-    * gang tasks share memory with the driver through [[SharedState]].
+    * [[gang]] hands its body to tasks in the driver's JVM, in memory.
     */
   def taskSlots(master: String, cores: Int, taskCpus: Int): Int = {
     val n = master.trim match {

@@ -2,6 +2,8 @@ package repro
 
 import java.nio.ByteBuffer
 import java.security.MessageDigest
+import repro.apps.Amsf
+import repro.baselines.Baselines
 import repro.bench.Tables
 import repro.core.{ConnectIt, Par, RunCtx}
 import repro.core.Options._
@@ -10,11 +12,13 @@ import repro.graph.Reference
 /** Golden digests of outputs that no refactoring and no schedule may move:
   * the CSR of every test graph, the exact k-out and BFS sampling
   * statistics (coverage, inter-component fraction), Table 8's MapEdges /
-  * GatherEdges sums and the UF-JTB priorities. They must come out the same
-  * under local[1], local[2] and local[*]. LDD and AMSF outputs still depend
-  * on the schedule at P > 1 and are left out. SV spanning forests depend on
-  * it too, so their digests are checked only on a gang of one (local[1]);
-  * at P > 1 each forest is only checked to be valid.
+  * GatherEdges sums, the UF-JTB priorities and the Borůvka MSF weights.
+  * They must come out the same under local[1], local[2] and local[*].
+  * LDD's statistics, the `workEffCC` labels (recursive LDD), the AMSF
+  * weights (concurrent unions within a bucket) and SV spanning forests
+  * depend on the schedule at P > 1, so their digests are checked only on a
+  * gang of one (local[1]); at P > 1 each SV forest is only checked to be
+  * valid.
   *
   * A failure names the key and prints the value computed, so a deliberate
   * change of output updates `golden` from the log.
@@ -86,6 +90,39 @@ class DigestSpec extends SparkSpec {
     "forest/SV/k-out(kout-hybrid,k=2)/star-high" -> "da50ee439303775e10817ea6aaef4630",
     "forest/SV/k-out(kout-hybrid,k=2)/path-desc" -> "2f8f25dd8de1ed276f7069e237c6d992",
     "forest/SV/k-out(kout-hybrid,k=2)/large" -> "5209828255c0db0e843cbcae0253ffe4",
+    "quality/LDD Sampling(beta=0.2)/path" -> "0.21 0.07023411371237458",
+    "quality/LDD Sampling(beta=0.2)/torus" -> "1.0 0.0",
+    "quality/LDD Sampling(beta=0.2)/rmat" -> "0.9765625 0.0",
+    "quality/LDD Sampling(beta=0.2)/star" -> "1.0 0.0",
+    "quality/LDD Sampling(beta=0.2)/multi" -> "0.25 0.006195437904815545",
+    "quality/LDD Sampling(beta=0.2)/uniform" -> "0.99875 0.0",
+    "quality/LDD Sampling(beta=0.2)/star-high" -> "1.0 0.0",
+    "quality/LDD Sampling(beta=0.2)/path-desc" -> "0.21 0.07023411371237458",
+    "quality/LDD Sampling(beta=0.2)/large" -> "0.997650146484375 0.0",
+    "workeff/path" -> "fb4aa89fb89bf94d0590a3174d1193ff",
+    "workeff/torus" -> "0f343b0931126a20f133d67c2b018a3b",
+    "workeff/rmat" -> "5efb6ab15b7baef8803d459ff882973c",
+    "workeff/star" -> "cf40a1de3f93b4a025409b5efa5aa210",
+    "workeff/multi" -> "0d0cce1259457115c914ef14e76237fd",
+    "workeff/uniform" -> "1d89cbd4baecfdbacc6c17491a0669a6",
+    "workeff/star-high" -> "cf40a1de3f93b4a025409b5efa5aa210",
+    "workeff/path-desc" -> "fb4aa89fb89bf94d0590a3174d1193ff",
+    "workeff/large" -> "fcec665f424a4ebb0e9879a570ceb73f",
+    "amsf/AMSF-EA/torus" -> "93.40473101492802 255",
+    "amsf/AMSF-F/torus" -> "94.08215332759049 255",
+    "amsf/AMSF-NF/torus" -> "94.08215332759049 255",
+    "amsf/AMSF-NF-S/torus" -> "94.08215332759049 255",
+    "amsf/AMSF-EA/rmat" -> "339.46921477472694 999",
+    "amsf/AMSF-F/rmat" -> "340.90122432827815 999",
+    "amsf/AMSF-NF/rmat" -> "340.90122432827815 999",
+    "amsf/AMSF-NF-S/rmat" -> "340.90122432827815 999",
+    "amsf/AMSF-EA/multi" -> "315.5841551672377 1194",
+    "amsf/AMSF-F/multi" -> "317.4272307009221 1194",
+    "amsf/AMSF-NF/multi" -> "317.4272307009221 1194",
+    "amsf/AMSF-NF-S/multi" -> "317.4272307009221 1194",
+    "boruvka/torus" -> "89.44787606088288 255",
+    "boruvka/rmat" -> "292.5277907303344 999",
+    "boruvka/multi" -> "295.47011308110797 1194",
     "prio/1000" -> "71ef57a2b5c126f15866150e6c05aa29",
   )
 
@@ -103,13 +140,38 @@ class DigestSpec extends SparkSpec {
     check(for ((name, g) <- graphs) yield s"csr/$name" -> md5(g.offsets, g.targets))
   }
 
-  for (s <- Seq(KOutSampling(2, KOutHybrid), BfsSampling()))
+  private def gangOfOne: Boolean = Par.taskSlots(spark) == 1
+
+  for (s <- Seq(KOutSampling(2, KOutHybrid), BfsSampling(), LddSampling(0.2)))
     test(s"${s.name} coverage and inter-component fraction of every test graph") {
-      check(for ((name, g) <- graphs) yield {
+      val got = for ((name, g) <- graphs) yield {
         val r = ConnectIt.connectivity(spark, g, s, UnionFindOpt(UfRemCas), sampleStats = true)
         s"quality/${s.name}/$name" -> s"${r.coverage} ${r.interCompFrac}"
-      })
+      }
+      if (s != LddSampling(0.2) || gangOfOne) check(got)
     }
+
+  test("WorkeffCC labels of every test graph (digest on a gang of one)") {
+    val got = for ((name, g) <- graphs) yield s"workeff/$name" -> md5(Baselines.workEffCC(spark, g))
+    if (gangOfOne) check(got)
+  }
+
+  private def amsfGraphs = TestGraphs.suite(spark).filter(x => Set("torus", "rmat", "multi")(x._1))
+
+  test("AMSF weights of every variant (digest on a gang of one)") {
+    val got = for ((name, g, _) <- amsfGraphs; v <- Seq(Amsf.EA, Amsf.F, Amsf.NF, Amsf.NFS)) yield {
+      val r = Amsf.run(spark, g, Amsf.expWeights(g, seed = 7), 0.25, v)
+      s"amsf/${v.name}/$name" -> s"${r.weight} ${r.nEdges}"
+    }
+    if (gangOfOne) check(got)
+  }
+
+  test("Borůvka MSF weights") {
+    check(for ((name, g, _) <- amsfGraphs) yield {
+      val r = Amsf.boruvka(spark, g, Amsf.expWeights(g, seed = 11))
+      s"boruvka/$name" -> s"${r.weight} ${r.nEdges}"
+    })
+  }
 
   test("MapEdges and GatherEdges sums of every test graph") {
     check(for ((name, g) <- graphs)
@@ -123,7 +185,7 @@ class DigestSpec extends SparkSpec {
         assert(Reference.validSpanningForest(g, forest), s"invalid SV forest on $name")
         s"forest/SV/${s.name}/$name" -> md5(forest.flatMap { case (u, v) => Array(u, v) })
       }
-      if (Par.taskSlots(spark) == 1) check(got)
+      if (gangOfOne) check(got)
     }
 
   test("UF-JTB priorities for n = 1000") {

@@ -138,13 +138,12 @@ class ConnectItSpec extends SparkSpec {
   }
 
   test("frequent label is exact when its members lie outside task 0's range") {
-    // n is above the size counted on task 0 alone, so the candidate is
-    // counted in parallel; its members fill the last fifth of [0, n),
-    // which task 0's static share never reaches, and the rest are
-    // singletons
-    val n = 100000
-    val big = n - 1
-    for (_ <- 0 until 20) {
+    // the candidate is counted in parallel, from a sample of every vertex
+    // (n = 40000) or of hashed positions (n = 100000); its members fill
+    // the last fifth of [0, n), which task 0's static share never
+    // reaches, and the rest are singletons
+    for (n <- Seq(40000, 100000); _ <- 0 until 20) {
+      val big = n - 1
       val ctx = RunCtx.create(n)
       try {
         ctx.sampled = new Array[Int](n)

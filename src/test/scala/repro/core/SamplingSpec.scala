@@ -240,8 +240,12 @@ class SamplingSpec extends SparkSpec {
     assert(dense > 0, s"rounds' work: ${work.mkString(",")}")
   }
 
-  test("identifyFrequent finds the majority label") {
-    assert(ConnectIt.identifyFrequent(Array(3, 3, 3, 1, 2)) == 3)
-    assert(ConnectIt.identifyFrequent(Array(0, 1, 2, 3)) == -1) // singletons
+  test("identifyFrequentPar finds the majority label") {
+    def frequent(labels: Array[Int]): Int = {
+      val ctx = RunCtx.create(labels.length)
+      try { ctx.sampled = labels; ConnectIt.identifyFrequentPar(spark, ctx) } finally ctx.unregister()
+    }
+    assert(frequent(Array(3, 3, 3, 1, 2)) == 3)
+    assert(frequent(Array(0, 1, 2, 3)) == -1) // singletons
   }
 }

@@ -216,7 +216,7 @@ class HostGraphSpec extends SparkSpec {
       try {
         ConnectIt.sampleAndNormalize(spark, g, ctx, s)
         val l = ctx.sampled
-        val freq = ConnectIt.identifyFrequent(l)
+        val freq = ConnectIt.identifyFrequentPar(spark, ctx)
         val inter = g.edgeIterator.count { case (u, v) => l(u) != l(v) }
         val want = (l.count(_ == freq).toDouble / g.n, inter.toDouble / math.max(1L, g.m))
         assert(ConnectIt.samplingQuality(spark, g, ctx, freq) == want, s"${s.name} on $name")
